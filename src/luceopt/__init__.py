@@ -11,7 +11,6 @@ from .antichain import (
     Arc,
     FlowNetwork,
     WeightedPoset,
-    brute_force_antichain,
     max_weight_antichain,
     min_flow_with_lower_bounds,
 )
@@ -82,7 +81,12 @@ from .model import (
     threshold_dominance,
     validate_partial_order,
 )
-from .oracles import OracleResult, brute_force_assortment, numeric_pricing_oracle
+from .oracles import (
+    OracleResult,
+    brute_force_antichain,
+    brute_force_assortment,
+    numeric_pricing_oracle,
+)
 from .pricing import (
     BoundaryCandidate,
     InvariantReport,

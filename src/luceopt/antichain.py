@@ -9,26 +9,26 @@ The construction: work on the transitive closure, keep only elements with
 strictly positive weight, and split each kept element ``v`` into
 ``v_in -> v_out`` with a lower bound of ``w_v`` on that arc.  Source feeds
 every ``v_in``, every ``v_out`` drains to the sink, and each closure edge
-``v > u`` becomes ``v_out -> u_in``.  Every source-sink path then covers a
+``v > u`` becomes ``v_out -> u_in``; these edges come from the relation's
+dominator bitmasks (see :class:`~luceopt.model.DominanceRelation`) within
+the mask of the kept elements.  Every source-sink path then covers a
 chain, and the minimum feasible flow equals the maximum antichain weight
 (the weighted form of the chains/antichains duality on comparability
 graphs).  The antichain itself is read off the tight cut of the minimum
 flow: elements whose split arc crosses from the source side to the
 sink-reachable side of the residual graph.
 
-A brute-force enumerator is provided as the independent test oracle.
+The independent test oracle is :func:`luceopt.oracles.brute_force_antichain`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Hashable, Sequence
+from typing import Hashable
 
-import numpy as np
-
-from .errors import InfeasibleNetwork, TooLarge
-from .model import DominanceRelation
+from .errors import InfeasibleNetwork
+from .model import DominanceRelation, id_mask, mask_ids
 
 __all__ = [
     "WeightedPoset",
@@ -36,7 +36,6 @@ __all__ = [
     "FlowNetwork",
     "min_flow_with_lower_bounds",
     "max_weight_antichain",
-    "brute_force_antichain",
 ]
 
 _EPS = 1e-12
@@ -256,14 +255,16 @@ def max_weight_antichain(poset: WeightedPoset) -> tuple[frozenset[int], float]:
         return frozenset(), 0.0
 
     net = FlowNetwork("s", "t")
-    pos_set = set(positive)
     for v in positive:
         net.add_arc("s", (v, "in"))
         net.add_arc((v, "in"), (v, "out"), lower=weights[v - 1])
         net.add_arc((v, "out"), "t")
-    for x, y in poset.relation.closure:
-        if x in pos_set and y in pos_set:
-            net.add_arc((x, "out"), (y, "in"))
+    dominators, kept = poset.relation.dominators, id_mask(positive)
+    closure = (
+        (x, y) for y in positive for x in mask_ids(dominators[y - 1] & kept)
+    )
+    for x, y in sorted(closure):
+        net.add_arc((x, "out"), (y, "in"))
 
     min_flow_with_lower_bounds(net)
     sink_side = _sink_side(net)
@@ -271,45 +272,3 @@ def max_weight_antichain(poset: WeightedPoset) -> tuple[frozenset[int], float]:
         v for v in positive if (v, "in") not in sink_side and (v, "out") in sink_side
     )
     return chosen, sum(weights[v - 1] for v in chosen)
-
-
-def brute_force_antichain(poset: WeightedPoset) -> tuple[frozenset[int], float]:
-    """Exact maximum over all antichains by subset enumeration (oracle).
-
-    Guarded at ``n <= 25``.  Ties are broken toward the lexicographically
-    smallest subset, with the empty antichain (value 0) always a candidate.
-    """
-    n = poset.relation.n
-    if n > 25:
-        raise TooLarge(f"brute-force antichain enumeration capped at n=25, got {n}")
-    if n == 0:
-        return frozenset(), 0.0
-
-    dom_mask = np.zeros(n, dtype=np.int64)
-    for x, y in poset.relation.closure:
-        dom_mask[y - 1] |= 1 << (x - 1)
-    weights = np.asarray(poset.weights, dtype=np.float64)
-
-    # The empty antichain (value 0, lexicographically smallest) seeds the
-    # search, which makes it the winner whenever no weight is positive.
-    best_value = 0.0
-    best_subset: tuple[int, ...] = ()
-    chunk = 1 << 20
-    for start in range(0, 1 << n, chunk):
-        masks = np.arange(start, min(start + chunk, 1 << n), dtype=np.int64)
-        value = np.zeros(len(masks))
-        ok = np.ones(len(masks), dtype=bool)
-        for i in range(n):
-            included = (masks >> i) & 1 == 1
-            ok &= ~(included & ((masks & dom_mask[i]) != 0))
-            value += weights[i] * included
-        value = np.where(ok, value, -np.inf)
-        top = float(value.max())
-        if top < best_value:
-            continue
-        for m in masks[value == top]:
-            cand = tuple(i + 1 for i in range(n) if (int(m) >> i) & 1)
-            if top > best_value or (top == best_value and cand < best_subset):
-                best_value = top
-                best_subset = cand
-    return frozenset(best_subset), best_value

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .antichain import WeightedPoset, max_weight_antichain
-from .errors import WeightOrderError
+from .errors import LuceOptError, NonPositiveInput, WeightOrderError
 from .model import DominanceRelation, Instance, consideration_set, expected_revenue
 
 __all__ = [
@@ -64,6 +64,8 @@ def _dinkelbach(
     weights, ``ratio(S)`` evaluates the true objective, ``denom_const`` is
     the constant denominator term (the outside option's weight).
     """
+    if not 0 <= eps < math.inf:
+        raise NonPositiveInput(f"eps must be finite and >= 0, got {eps}")
     incumbent, lam = initial_set, initial_lambda
     for iteration in range(1, _MAX_ITERATIONS + 1):
         if trace is not None:
@@ -73,7 +75,7 @@ def _dinkelbach(
         if gap <= eps * max(1.0, lam):
             return incumbent, lam, iteration, gap
         incumbent, lam = candidate, ratio(candidate)
-    raise RuntimeError("Dinkelbach iteration failed to converge")  # pragma: no cover
+    raise LuceOptError(f"Dinkelbach iteration did not converge in {_MAX_ITERATIONS} steps")
 
 
 def _best_singleton(

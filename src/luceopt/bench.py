@@ -17,11 +17,8 @@ than specific historical numbers.
 from __future__ import annotations
 
 import csv
-import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,6 +27,8 @@ from .errors import SchemaError
 from .model import (
     Instance,
     PricedInstance,
+    _is_finite,
+    _is_int,
     make_instance,
     validate_partial_order,
 )
@@ -60,22 +59,6 @@ def _rng(seed: int, cell: int, index: int) -> np.random.Generator:
         counter=np.array([index, 0, 0, 0], dtype=np.uint64),
     )
     return np.random.Generator(bitgen)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("LUCEOPT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn: Callable, items: Sequence) -> list:
-    workers = _worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -237,7 +220,7 @@ def run_assortment_benchmark(
         ro = revenue_ordered_heuristic(inst)
         return _gap_pct(opt.revenue, ro.revenue), len(ro.assortment), len(opt.assortment)
 
-    rows = _map_ordered(evaluate, instances)
+    rows = [evaluate(inst) for inst in instances]
     gaps = [g for g, _, _ in rows]
     return GapRow(
         label=cfg.label,
@@ -274,7 +257,7 @@ def run_pricing_benchmark(
             opt.k,
         )
 
-    rows = _map_ordered(evaluate, instances)
+    rows = [evaluate(inst) for inst in instances]
     fixed_gaps = [r[0] for r in rows]
     quasi_gaps = [r[1] for r in rows]
     return GapRow(
@@ -350,19 +333,6 @@ def emit_report(rows: Sequence[GapRow], fmt: str, path: str) -> str:
 # ---------------------------------------------------------------------------
 # Config files
 # ---------------------------------------------------------------------------
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # a JSON integer too large for a float
-        return False
 
 
 # field -> (what the value must be, check, conversion)

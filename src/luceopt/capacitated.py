@@ -20,12 +20,13 @@ unstructured instances instead of silently approximating.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
 from .assortment import AssortmentSolution, DEFAULT_EPS, _best_singleton, _dinkelbach
 from .errors import NotAttractivenessCorrelated, NotATree, ProblemTooLarge, TooLarge
-from .model import DominanceRelation, Instance, expected_revenue
+from .model import DominanceRelation, Instance, _by_decreasing, expected_revenue
 
 __all__ = [
     "CapacitatedProblem",
@@ -81,11 +82,11 @@ def is_forest_reducible(rel: DominanceRelation) -> tuple[bool, list[int] | None]
     dominator of product ``i`` (0 for roots; index 0 unused), or
     ``(False, None)`` when some product has two direct dominators.
     """
-    parents = [0] * (rel.n + 1)
-    for x, y in rel.reduction:
-        if parents[y] != 0:
+    parents = [0]
+    for mask in rel.direct_dominators:
+        if mask & (mask - 1):
             return False, None
-        parents[y] = x
+        parents.append(mask.bit_length())
     return True, parents
 
 
@@ -232,17 +233,23 @@ def is_attractiveness_correlated(inst: Instance) -> bool:
     2. anything strictly more attractive than a dominator of y also
        dominates y.
 
+    Per product ``y``, on the decreasing-attractiveness order: the
+    shortest prefix holding all dominators of ``y`` (binary search) ends
+    in a least attractive dominator ``z``; condition 2 holds iff every
+    product more attractive than ``z`` dominates ``y``.
+
     Threshold-induced instances always satisfy both.
     """
-    rel = inst.dominance
     att = [p.attractiveness for p in inst.products]
-    for x, y in rel.closure:
-        if not att[x - 1] > att[y - 1]:
+    order, prefix, negated = _by_decreasing(att)
+    # stronger[i]: the mask of the products strictly more attractive than i + 1
+    stronger = [prefix[bisect_left(negated, -a)] for a in att]
+    for y, dom in enumerate(inst.dominance.dominators):
+        if dom & ~stronger[y]:
             return False
-    for x, y in rel.closure:
-        ax = att[x - 1]
-        for z in inst.ids:
-            if att[z - 1] > ax and (z, y) not in rel.closure:
+        if dom:
+            k = bisect_left(range(inst.n + 1), True, key=lambda j: not dom & ~prefix[j])
+            if stronger[order[k - 1]] & ~dom:
                 return False
     return True
 
@@ -311,24 +318,20 @@ def solve_capacitated_attcorr(
     rel = inst.dominance
 
     pools: list[list[int]] = []
-    clean = True
     for k in inst.ids:
         pool = [
             i
             for i in inst.ids
             if att[i - 1] <= att[k - 1] and not rel.dominates(k, i)
         ]
+        if not rel.is_antichain(pool):
+            if inst.n <= BRUTE_FORCE_MAX_N:
+                return solve_capacitated_bruteforce(prob)
+            raise TooLarge(
+                "attractiveness ties leave dominance inside a candidate pool; "
+                f"exact fallback capped at n={BRUTE_FORCE_MAX_N}"
+            )
         pools.append(pool)
-        pool_set = set(pool)
-        if any((rel.dominators_of(i) & pool_set) for i in pool):
-            clean = False
-    if not clean:
-        if inst.n <= BRUTE_FORCE_MAX_N:
-            return solve_capacitated_bruteforce(prob)
-        raise TooLarge(
-            "attractiveness ties leave dominance inside a candidate pool; "
-            f"exact fallback capped at n={BRUTE_FORCE_MAX_N}"
-        )
 
     best: AssortmentSolution | None = None
     best_ids: tuple[int, ...] = ()

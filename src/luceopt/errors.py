@@ -21,8 +21,8 @@ class CycleError(LuceOptError):
 
 
 class NonPositiveInput(LuceOptError):
-    """A quantity that must be strictly positive (attractiveness, threshold)
-    is zero or negative."""
+    """A quantity that must be positive (attractiveness, threshold) or
+    non-negative (revenue, outside option) is out of range or not finite."""
 
 
 class SchemaError(LuceOptError):

@@ -13,6 +13,10 @@ The threshold variant ties dominance to attractiveness: ``x`` dominates
 The price-dependent variant used by the pricing solvers replaces the fixed
 attractiveness with ``exp(u_i - p_i)`` for intrinsic utilities ``u_i``.
 
+The dominance order is held once, as bitmasks (see
+:class:`DominanceRelation`) that the model, the solvers and the oracles
+all read; pair sets are derived from them for tests and serialization only.
+
 Everything here is immutable after construction and all operations are pure
 functions, so instances can be shared freely across threads.
 """
@@ -21,14 +25,17 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CycleError, IdOutOfRange, NonPositiveInput, SchemaError
 
 __all__ = [
     "Product",
     "DominanceRelation",
+    "id_mask",
+    "mask_ids",
     "Instance",
     "PricedInstance",
     "PriceVector",
@@ -69,60 +76,79 @@ class Product:
     def __post_init__(self) -> None:
         if self.id < 1:
             raise IdOutOfRange(f"product id must be >= 1, got {self.id}")
-        if self.revenue < 0:
-            raise NonPositiveInput(f"revenue must be >= 0, got {self.revenue}")
-        if not self.attractiveness > 0:
+        if not 0 <= self.revenue < math.inf:
+            raise NonPositiveInput(f"revenue must be finite and >= 0, got {self.revenue}")
+        if not 0 < self.attractiveness < math.inf:
             raise NonPositiveInput(
-                f"attractiveness must be > 0, got {self.attractiveness}"
+                f"attractiveness must be finite and > 0, got {self.attractiveness}"
             )
 
 
-class DominanceRelation:
-    """A strict partial order over products ``1..n``.
+def id_mask(ids: Iterable[int]) -> int:
+    """The bitmask of a set of products: bit ``i - 1`` stands for product ``i``."""
+    mask = 0
+    for i in ids:
+        mask |= 1 << (i - 1)
+    return mask
 
-    Stores the original edge set together with its transitive closure and
-    transitive reduction.  ``(x, y)`` means ``x`` dominates ``y``.  Use
-    :func:`validate_partial_order` or :func:`threshold_dominance` to build
-    one; the constructor assumes ``closure`` is already a valid strict
-    partial order.
+
+def mask_ids(mask: int) -> Iterator[int]:
+    """The products in ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length()
+        mask ^= low
+
+
+def _pairs(masks: Sequence[int]) -> frozenset[tuple[int, int]]:
+    return frozenset((x, y) for y, mask in enumerate(masks, 1) for x in mask_ids(mask))
+
+
+class DominanceRelation:
+    """A strict partial order over products ``1..n``, as bitmasks.
+
+    ``dominators[y - 1]`` is the :func:`id_mask` of the products that
+    dominate ``y`` (the transitive closure); ``direct_dominators[y - 1]``
+    keeps those that dominate no other dominator of ``y`` (the reduction).
+    So ``y`` survives in an offer ``S`` iff ``dominators[y - 1] & id_mask(S)``
+    is 0.  ``closure`` and ``reduction`` rebuild the pair sets (``(x, y)``:
+    ``x`` dominates ``y``) on each access, for tests and serialization; no
+    solver reads them.  Build one with :func:`validate_partial_order` or
+    :func:`threshold_dominance`; the constructor trusts its masks.
     """
 
-    __slots__ = ("n", "edges", "closure", "reduction", "_dominators")
+    __slots__ = ("n", "dominators", "direct_dominators")
 
     def __init__(
-        self,
-        n: int,
-        edges: frozenset[tuple[int, int]],
-        closure: frozenset[tuple[int, int]],
-        reduction: frozenset[tuple[int, int]],
+        self, n: int, dominators: Sequence[int], direct_dominators: Sequence[int]
     ) -> None:
         self.n = n
-        self.edges = edges
-        self.closure = closure
-        self.reduction = reduction
-        dominators: list[set[int]] = [set() for _ in range(n + 1)]
-        for x, y in closure:
-            dominators[y].add(x)
-        self._dominators = tuple(frozenset(s) for s in dominators)
+        self.dominators = tuple(dominators)
+        self.direct_dominators = tuple(direct_dominators)
 
-    def dominators_of(self, y: int) -> frozenset[int]:
-        """Products that dominate ``y`` (under the closure)."""
-        return self._dominators[y]
+    @property
+    def closure(self) -> frozenset[tuple[int, int]]:
+        return _pairs(self.dominators)
+
+    @property
+    def reduction(self) -> frozenset[tuple[int, int]]:
+        return _pairs(self.direct_dominators)
 
     def dominates(self, x: int, y: int) -> bool:
-        return (x, y) in self.closure
+        return bool(self.dominators[y - 1] >> (x - 1) & 1)
 
     def is_antichain(self, subset: Iterable[int]) -> bool:
-        s = set(subset)
-        return all(not (self._dominators[y] & s) for y in s)
+        members = list(subset)
+        mask = id_mask(members)
+        return not any(self.dominators[y - 1] & mask for y in members)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DominanceRelation):
             return NotImplemented
-        return self.n == other.n and self.closure == other.closure
+        return self.n == other.n and self.dominators == other.dominators
 
     def __hash__(self) -> int:
-        return hash((self.n, self.closure))
+        return hash((self.n, self.dominators))
 
     def __repr__(self) -> str:
         return f"DominanceRelation(n={self.n}, edges={sorted(self.reduction)})"
@@ -131,59 +157,57 @@ class DominanceRelation:
 def validate_partial_order(
     edges: Iterable[tuple[int, int]], n: int
 ) -> DominanceRelation:
-    """Build a :class:`DominanceRelation` from raw edges.
+    """Build a :class:`DominanceRelation` from raw edges (``x`` dominates
+    ``y``), transitively closed or not.
 
-    The input may or may not be transitively closed; the closure is computed
-    here and then checked for irreflexivity and antisymmetry.  Self-loops,
-    2-cycles and longer cycles all surface as a :class:`CycleError` because
-    any cycle puts some ``(x, x)`` into the closure.
+    One pass of Kahn's algorithm visits each product after its edge
+    sources; a product on a cycle (a self-loop included) is never visited.
+    A visited product's closure mask is its sources OR their closure masks,
+    and its reduction mask the sources no other source's closure contains.
 
     Raises
     ------
     IdOutOfRange
         if an edge endpoint is outside ``1..n``.
     CycleError
-        if the closure is not a strict partial order.
+        if the edges contain a cycle.
     """
-    edge_set = frozenset((int(x), int(y)) for x, y in edges)
-    for x, y in edge_set:
-        if not (1 <= x <= n) or not (1 <= y <= n):
+    sources = [0] * n
+    targets: list[list[int]] = [[] for _ in range(n)]
+    for x, y in edges:
+        x, y = int(x), int(y)
+        if not (1 <= x <= n and 1 <= y <= n):
             raise IdOutOfRange(f"edge ({x}, {y}) references ids outside 1..{n}")
+        bit = 1 << (x - 1)
+        if not sources[y - 1] & bit:
+            sources[y - 1] |= bit
+            targets[x - 1].append(y - 1)
 
-    succ: dict[int, set[int]] = {i: set() for i in range(1, n + 1)}
-    for x, y in edge_set:
-        succ[x].add(y)
-
-    closure: set[tuple[int, int]] = set()
-    for start in range(1, n + 1):
-        seen: set[int] = set()
-        stack = list(succ[start])
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(succ[v])
-        if start in seen:
-            raise CycleError(f"product {start} reaches itself; not a strict order")
-        closure.update((start, v) for v in seen)
-
-    closure_f = frozenset(closure)
-    reduction = _transitive_reduction(closure_f)
-    return DominanceRelation(n, edge_set, closure_f, reduction)
+    waiting = [mask.bit_count() for mask in sources]
+    order = [v for v in range(n) if not waiting[v]]
+    closure = [0] * n
+    inherited = [0] * n  # the OR of the edge sources' closure masks
+    for x in order:  # appended to while read: the list is Kahn's queue
+        closure[x] = sources[x] | inherited[x]
+        for y in targets[x]:
+            inherited[y] |= closure[x]
+            waiting[y] -= 1
+            if not waiting[y]:
+                order.append(y)
+    if len(order) < n:
+        raise CycleError("dominance edges contain a cycle; not a strict order")
+    direct = [s & ~i for s, i in zip(sources, inherited)]
+    return DominanceRelation(n, closure, direct)
 
 
-def _transitive_reduction(
-    closure: frozenset[tuple[int, int]]
-) -> frozenset[tuple[int, int]]:
-    succ: dict[int, set[int]] = {}
-    for x, y in closure:
-        succ.setdefault(x, set()).add(y)
-    reduction = set()
-    for x, y in closure:
-        if not any(y in succ.get(z, ()) for z in succ[x] if z != y):
-            reduction.add((x, y))
-    return frozenset(reduction)
+def _by_decreasing(values: Sequence[float]) -> tuple[list[int], list[int], list[float]]:
+    """Positions by decreasing value, the prefix masks of that order, and the
+    negated sorted values (``bisect_left(negated, -c)`` counts values > c)."""
+    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+    prefix = [0]
+    for i in order:
+        prefix.append(prefix[-1] | 1 << i)
+    return order, prefix, [-values[i] for i in order]
 
 
 def threshold_dominance(
@@ -192,23 +216,21 @@ def threshold_dominance(
     """Dominance induced by an attractiveness threshold.
 
     ``x`` dominates ``y`` iff ``a_x > (1 + t) * a_y`` (strict; a ratio of
-    exactly ``1 + t`` produces no edge).  The result is automatically
-    transitive, antisymmetric and irreflexive, but it is still passed
-    through :func:`validate_partial_order` as a safety net.
+    exactly ``1 + t`` produces no edge).  The relation is transitive,
+    antisymmetric and irreflexive by construction.  Sorted by decreasing
+    attractiveness, the dominators of ``y`` form a prefix; its direct
+    dominators are that prefix minus the dominators of the prefix's last
+    (least attractive) member.
     """
-    if not t > 0:
-        raise NonPositiveInput(f"threshold t must be > 0, got {t}")
+    if not 0 < t < math.inf:
+        raise NonPositiveInput(f"threshold t must be finite and > 0, got {t}")
     if any(not a > 0 for a in attractiveness):
         raise NonPositiveInput("all attractiveness values must be > 0")
-    n = len(attractiveness)
+    order, prefix, negated = _by_decreasing(attractiveness)
     factor = 1.0 + t
-    edges = {
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if i != j and attractiveness[i - 1] > factor * attractiveness[j - 1]
-    }
-    return validate_partial_order(edges, n)
+    above = [bisect_left(negated, -(factor * a)) for a in attractiveness]
+    direct = [prefix[k] & ~prefix[above[order[k - 1]]] if k else 0 for k in above]
+    return DominanceRelation(len(attractiveness), [prefix[k] for k in above], direct)
 
 
 @dataclass(frozen=True)
@@ -227,8 +249,8 @@ class Instance:
             object.__setattr__(
                 self, "products", tuple(sorted(self.products, key=lambda p: p.id))
             )
-        if self.a0 < 0:
-            raise NonPositiveInput(f"a0 must be >= 0, got {self.a0}")
+        if not 0 <= self.a0 < math.inf:
+            raise NonPositiveInput(f"a0 must be finite and >= 0, got {self.a0}")
         if self.dominance.n != len(self.products):
             raise IdOutOfRange(
                 f"dominance is over {self.dominance.n} products, "
@@ -270,8 +292,9 @@ def consideration_set(S: Iterable[int], inst: Instance) -> frozenset[int]:
     Idempotent: ``consideration_set(consideration_set(S)) == ...(S)``.
     """
     s = frozenset(S)
-    rel = inst.dominance
-    return frozenset(x for x in s if not (rel.dominators_of(x) & s))
+    mask = id_mask(s)
+    dominators = inst.dominance.dominators
+    return frozenset(x for x in s if not dominators[x - 1] & mask)
 
 
 def choice_probability(x: int, S: Iterable[int], inst: Instance) -> float:
@@ -326,10 +349,12 @@ class PricedInstance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "utilities", tuple(float(u) for u in self.utilities))
-        if not self.t > 0:
-            raise NonPositiveInput(f"threshold t must be > 0, got {self.t}")
-        if self.a0 < 0:
-            raise NonPositiveInput(f"a0 must be >= 0, got {self.a0}")
+        if not 0 < self.t < math.inf:
+            raise NonPositiveInput(f"threshold t must be finite and > 0, got {self.t}")
+        if not 0 <= self.a0 < math.inf:
+            raise NonPositiveInput(f"a0 must be finite and >= 0, got {self.a0}")
+        if not all(map(math.isfinite, self.utilities)):
+            raise SchemaError(f"utilities must be finite, got {self.utilities}")
         u = self.utilities
         if any(u[i] < u[i + 1] for i in range(len(u) - 1)):
             raise SchemaError("utilities must be sorted non-increasing")
@@ -392,6 +417,19 @@ _TOP_KEYS = {"products", "a0", "dominance"}
 _PRODUCT_KEYS = {"id", "revenue", "attractiveness", "utility"}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # a JSON integer too large for a float
+        return False
+
+
 def _check_keys(obj: Mapping, allowed: set[str], where: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
@@ -404,10 +442,12 @@ def _parse_common(obj: Mapping) -> tuple[list[dict], float, Mapping]:
     _check_keys(obj, _TOP_KEYS, "instance")
     try:
         products = list(obj["products"])
-        a0 = float(obj["a0"])
+        a0 = obj["a0"]
         dominance = obj["dominance"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise SchemaError(f"missing or malformed required field: {exc}") from exc
+    if not _is_finite(a0):
+        raise SchemaError(f"'a0' must be a finite number, got {a0!r}")
     for prod in products:
         if not isinstance(prod, Mapping):
             raise SchemaError("each product must be a JSON object")
@@ -415,9 +455,27 @@ def _parse_common(obj: Mapping) -> tuple[list[dict], float, Mapping]:
         for key in ("id", "revenue", "attractiveness"):
             if key not in prod:
                 raise SchemaError(f"product missing required field '{key}'")
+        if not _is_int(prod["id"]):
+            raise SchemaError(f"product 'id' must be an integer, got {prod['id']!r}")
+        for key in ("revenue", "attractiveness", "utility"):
+            if key in prod and not _is_finite(prod[key]):
+                raise SchemaError(f"product {key!r} must be a finite number, "
+                                  f"got {prod[key]!r}")
     if not isinstance(dominance, Mapping):
         raise SchemaError("'dominance' must be a JSON object")
-    return products, a0, dominance
+    products.sort(key=lambda prod: prod["id"])
+    ids = [prod["id"] for prod in products]
+    if ids != list(range(1, len(products) + 1)):
+        raise SchemaError(f"product ids must be exactly 1..n, got {ids}")
+    return products, float(a0), dominance
+
+
+def _threshold(dom: Mapping) -> float:
+    _check_keys(dom, {"type", "t"}, "dominance")
+    t = dom.get("t")
+    if not _is_finite(t):
+        raise SchemaError(f"threshold dominance needs a finite number 't', got {t!r}")
+    return float(t)
 
 
 def _parse_dominance(dom: Mapping, attractiveness: Sequence[float]) -> DominanceRelation:
@@ -425,16 +483,14 @@ def _parse_dominance(dom: Mapping, attractiveness: Sequence[float]) -> Dominance
     if dtype == "explicit":
         _check_keys(dom, {"type", "edges"}, "dominance")
         edges = dom.get("edges", [])
-        try:
-            pairs = [(int(x), int(y)) for x, y in edges]
-        except (TypeError, ValueError) as exc:
-            raise SchemaError("'edges' must be a list of [x, y] pairs") from exc
-        return validate_partial_order(pairs, len(attractiveness))
+        if not isinstance(edges, list) or not all(
+            isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_is_int, e))
+            for e in edges
+        ):
+            raise SchemaError("'edges' must be a list of [x, y] integer pairs")
+        return validate_partial_order(edges, len(attractiveness))
     if dtype == "threshold":
-        _check_keys(dom, {"type", "t"}, "dominance")
-        if "t" not in dom:
-            raise SchemaError("threshold dominance requires field 't'")
-        return threshold_dominance(attractiveness, float(dom["t"]))
+        return threshold_dominance(attractiveness, _threshold(dom))
     raise SchemaError(f"dominance type must be 'explicit' or 'threshold', got {dtype!r}")
 
 
@@ -444,17 +500,15 @@ def parse_instance(obj: Mapping) -> Instance:
     Schema: ``{"products": [{"id", "revenue", "attractiveness",
     "utility"?}], "a0": float, "dominance": {"type": "explicit", "edges":
     [[x, y], ...]} | {"type": "threshold", "t": float}}``.  Unknown fields
-    are rejected.
+    are rejected.  Ids and edge endpoints are JSON integers, the other
+    values finite JSON numbers; nothing is coerced, so a string, a boolean
+    or a fractional id raises :class:`SchemaError`.
     """
     raw_products, a0, dominance = _parse_common(obj)
-    raw_products.sort(key=lambda prod: int(prod["id"]))
     products = tuple(
-        Product(int(prod["id"]), float(prod["revenue"]), float(prod["attractiveness"]))
+        Product(prod["id"], float(prod["revenue"]), float(prod["attractiveness"]))
         for prod in raw_products
     )
-    ids = [prod.id for prod in products]
-    if ids != list(range(1, len(products) + 1)):
-        raise SchemaError(f"product ids must be exactly 1..n, got {ids}")
     rel = _parse_dominance(dominance, [prod.attractiveness for prod in products])
     return Instance(products, a0, rel)
 
@@ -467,16 +521,15 @@ def parse_priced_instance(obj: Mapping) -> PricedInstance:
     non-increasing in id order.
     """
     raw_products, a0, dominance = _parse_common(obj)
-    raw_products.sort(key=lambda prod: int(prod["id"]))
     if dominance.get("type") != "threshold":
         raise SchemaError("pricing requires threshold dominance (field 't')")
-    _check_keys(dominance, {"type", "t"}, "dominance")
+    t = _threshold(dominance)
     utilities = []
     for prod in raw_products:
         if "utility" not in prod:
             raise SchemaError(f"product {prod['id']} has no 'utility' field")
         utilities.append(float(prod["utility"]))
-    return PricedInstance(tuple(utilities), float(dominance["t"]), a0)
+    return PricedInstance(tuple(utilities), t, a0)
 
 
 def instance_to_dict(inst: Instance, utilities: Sequence[float] | None = None) -> dict:

@@ -1,7 +1,8 @@
 """Independent brute-force references for the solvers.
 
 These deliberately share no code path with the polynomial algorithms: the
-assortment oracle enumerates raw subsets with vectorized bit tricks, and
+antichain and assortment oracles enumerate raw subsets with vectorized bit
+tricks (one chunked enumerator, reading the relation's dominator masks), and
 the pricing oracle walks a dense grid of net utilities followed by a local
 pattern-search refinement.  Property tests and the ``verify`` CLI command
 compare solver output against these.
@@ -11,13 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from .antichain import WeightedPoset
 from .errors import TooLarge, ZeroOutsideOption
-from .model import Instance, PricedInstance
+from .model import Instance, PricedInstance, mask_ids
 
-__all__ = ["OracleResult", "brute_force_assortment", "numeric_pricing_oracle"]
+__all__ = ["OracleResult", "brute_force_antichain", "brute_force_assortment",
+           "numeric_pricing_oracle"]
 
 _MAX_N = 22
 _MAX_PRICING_K = 3
@@ -31,6 +35,63 @@ class OracleResult:
     value: float
     optimizer: tuple
     evaluations: int
+
+
+def _best_subset(
+    n: int, score: Callable[[np.ndarray], tuple], seed_value: float
+) -> tuple[float, tuple[int, ...], int]:
+    """Best subset of ``1..n`` by enumerating bitmasks in chunks.
+
+    ``score(masks)`` gives each subset's value and whether it is a
+    candidate.  The empty subset with ``seed_value`` seeds the search; ties
+    go to the lexicographically smallest subset.  Also counts the
+    candidates.
+    """
+    best_value = seed_value
+    best_subset: tuple[int, ...] = ()
+    evaluations = 0
+    chunk = 1 << 20
+    for start in range(0, 1 << n, chunk):
+        masks = np.arange(start, min(start + chunk, 1 << n), dtype=np.int64)
+        value, feasible = score(masks)
+        evaluations += int(feasible.sum())
+        value = np.where(feasible, value, -np.inf)
+        top = float(value.max())
+        if top < best_value:
+            continue
+        for m in masks[value == top]:
+            cand = tuple(mask_ids(int(m)))
+            if top > best_value or (top == best_value and cand < best_subset):
+                best_value = top
+                best_subset = cand
+    return best_value, best_subset, evaluations
+
+
+def brute_force_antichain(poset: WeightedPoset) -> tuple[frozenset[int], float]:
+    """Exact maximum over all antichains by subset enumeration.
+
+    Guarded at ``n <= 25``.  Ties are broken toward the lexicographically
+    smallest subset, with the empty antichain (value 0) always a candidate.
+    """
+    n = poset.relation.n
+    if n > 25:
+        raise TooLarge(f"brute-force antichain enumeration capped at n=25, got {n}")
+    dom_mask = np.array(poset.relation.dominators, dtype=np.int64)
+    weights = np.asarray(poset.weights, dtype=np.float64)
+
+    def score(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        value = np.zeros(len(masks))
+        ok = np.ones(len(masks), dtype=bool)
+        for i in range(n):
+            included = (masks >> i) & 1 == 1
+            ok &= ~(included & ((masks & dom_mask[i]) != 0))
+            value += weights[i] * included
+        return value, ok
+
+    # The empty antichain (value 0, lexicographically smallest) seeds the
+    # search, which makes it the winner whenever no weight is positive.
+    value, subset, _ = _best_subset(n, score, 0.0)
+    return frozenset(subset), value
 
 
 def brute_force_assortment(
@@ -49,22 +110,12 @@ def brute_force_assortment(
     n = inst.n
     if n > _MAX_N:
         raise TooLarge(f"oracle enumeration capped at n={_MAX_N}, got {n}")
-    if n == 0:
-        return OracleResult(0.0, (), 1)
     cap = n if capacity is None else capacity
-
-    dom_mask = np.zeros(n, dtype=np.int64)
-    for x, y in inst.dominance.closure:
-        dom_mask[y - 1] |= 1 << (x - 1)
+    dom_mask = np.array(inst.dominance.dominators, dtype=np.int64)
     rev = np.array([p.revenue for p in inst.products])
     att = np.array([p.attractiveness for p in inst.products])
 
-    best_value = -math.inf
-    best_subset: tuple[int, ...] = ()
-    evaluations = 0
-    chunk = 1 << 20
-    for start in range(0, 1 << n, chunk):
-        masks = np.arange(start, min(start + chunk, 1 << n), dtype=np.int64)
+    def score(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         num = np.zeros(len(masks))
         den = np.full(len(masks), float(inst.a0))
         size = np.zeros(len(masks), dtype=np.int64)
@@ -81,17 +132,10 @@ def brute_force_assortment(
         feasible = size <= cap
         if antichains_only:
             feasible &= antichain
-        evaluations += int(feasible.sum())
-        value = np.where(feasible, value, -np.inf)
-        top = float(value.max())
-        if top < best_value:
-            continue
-        for m in masks[value == top]:
-            cand = tuple(i + 1 for i in range(n) if (int(m) >> i) & 1)
-            if top > best_value or (top == best_value and cand < best_subset):
-                best_value = top
-                best_subset = cand
-    return OracleResult(best_value, best_subset, evaluations)
+        return value, feasible
+
+    value, subset, evaluations = _best_subset(n, score, -math.inf)
+    return OracleResult(value, subset, evaluations)
 
 
 def numeric_pricing_oracle(inst: PricedInstance, k: int) -> OracleResult:

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 from luceopt import (
     AssortmentExperimentConfig,
@@ -14,6 +15,14 @@ from luceopt import (
     make_instance,
     threshold_dominance,
 )
+
+# Property tests draw the same examples on every run (derandomize), never
+# time out on a loaded machine (deadline=None), and write no example
+# database, so tier-1 stays deterministic.
+settings.register_profile(
+    "tier1", derandomize=True, deadline=None, max_examples=100, database=None
+)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from luceopt import assortment
 from luceopt.cli import main
 
 
@@ -96,6 +97,57 @@ class TestSolveCommand:
         _, out1, _ = run(capsys, ["solve", "--instance", rev_ord_fail_file])
         _, out2, _ = run(capsys, ["solve", "--instance", rev_ord_fail_file])
         assert out1 == out2
+
+    @pytest.mark.parametrize(
+        "command, change, flags",
+        [
+            pytest.param("solve", lambda d: d.update(a0="1"), [], id="a0-string"),
+            pytest.param("solve", lambda d: d.update(a0=True), [], id="a0-bool"),
+            pytest.param("solve", lambda d: d["products"][0].update(id=1.5), [],
+                         id="id-float"),
+            pytest.param("solve", lambda d: d.update(
+                dominance={"type": "explicit", "edges": [[2.7, 1]]}), [],
+                id="edge-float"),
+            pytest.param("solve", lambda d: d["dominance"].update(t="0.5"), [],
+                         id="t-string"),
+            pytest.param("price", lambda d: d["dominance"].update(t="0.5"), [],
+                         id="price-t-string"),
+            pytest.param("solve", lambda d: d["products"][1].update(revenue=math.nan),
+                         [], id="revenue-nan"),
+            pytest.param("solve", lambda d: d["products"][0].update(
+                attractiveness=math.inf), [], id="attractiveness-inf"),
+            pytest.param("price", lambda d: d["products"][0].update(utility=math.nan),
+                         [], id="utility-nan"),
+            pytest.param("price", lambda d: d["products"][2].update(id=5), [],
+                         id="price-id-gap"),
+            pytest.param("solve", lambda d: None, ["--eps", "nan"], id="eps-nan"),
+            pytest.param("solve", lambda d: None, ["--eps", "inf"], id="eps-inf"),
+            pytest.param("solve", lambda d: None, ["--eps", "-1"], id="eps-negative"),
+        ],
+    )
+    def test_invalid_input_is_exit_1(self, capsys, tmp_path, command, change, flags):
+        doc = {
+            "products": [
+                {"id": i, "revenue": r, "attractiveness": a, "utility": u}
+                for i, r, a, u in ((1, 88.0, 13.0, 2.0), (2, 47.0, 26.0, 1.5),
+                                   (3, 46.0, 15.0, 1.0))
+            ],
+            "a0": 55.0,
+            "dominance": {"type": "threshold", "t": 0.6},
+        }
+        change(doc)
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, [command, "--instance", str(path)] + flags)
+        assert code == 1 and out == ""
+        assert "error" in err
+
+    def test_non_convergence_is_exit_2(self, capsys, monkeypatch, rev_ord_fail_file):
+        # The optimum {1, 3} is two Dinkelbach steps from the best singleton.
+        monkeypatch.setattr(assortment, "_MAX_ITERATIONS", 1)
+        code, out, err = run(capsys, ["solve", "--instance", rev_ord_fail_file])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "converge" in err
 
 
 class TestPriceCommand:

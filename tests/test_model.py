@@ -9,8 +9,10 @@ import pytest
 from luceopt import (
     CycleError,
     IdOutOfRange,
+    LuceOptError,
     NonPositiveInput,
     PricedInstance,
+    Product,
     SchemaError,
     choice_probability,
     consideration_set,
@@ -229,6 +231,27 @@ class TestPricedModel:
     def test_unsorted_utilities_rejected(self):
         with pytest.raises(SchemaError):
             PricedInstance((1.0, 2.0), 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Product(1, math.nan, 1.0),
+            lambda: Product(1, math.inf, 1.0),
+            lambda: Product(1, 1.0, math.nan),
+            lambda: Product(1, 1.0, math.inf),
+            lambda: make_instance([1.0], [1.0], math.nan, validate_partial_order((), 1)),
+            lambda: make_instance([1.0], [1.0], math.inf, validate_partial_order((), 1)),
+            lambda: PricedInstance((math.nan,), 1.0, 1.0),
+            lambda: PricedInstance((math.inf, 1.0), 1.0, 1.0),
+            lambda: PricedInstance((1.0,), math.inf, 1.0),
+            lambda: PricedInstance((1.0,), math.nan, 1.0),
+            lambda: PricedInstance((1.0,), 1.0, math.nan),
+            lambda: threshold_dominance([1.0, 2.0], math.inf),
+        ],
+    )
+    def test_non_finite_values_rejected_at_construction(self, build):
+        with pytest.raises(LuceOptError):
+            build()
 
 
 class TestJsonSchema:

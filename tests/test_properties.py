@@ -1,0 +1,159 @@
+"""Property tests of the dominance representation on small random inputs,
+each checked against a short definitional reference written here."""
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from luceopt import (
+    CycleError,
+    WeightedPoset,
+    brute_force_antichain,
+    consideration_set,
+    expected_revenue,
+    is_attractiveness_correlated,
+    make_instance,
+    max_weight_antichain,
+    threshold_dominance,
+    validate_partial_order,
+)
+
+MAX_N = 12
+
+attractiveness_values = st.one_of(
+    st.floats(min_value=0.01, max_value=100.0),
+    st.sampled_from([1.0, 1.5, 2.0, 3.0]),  # exact ties and exact ratios
+)
+
+
+def reference_closure(edges) -> set:
+    """Pairs joined by a path of one or more edges."""
+    closure = set(edges)
+    while True:
+        longer = {(x, w) for x, y in closure for z, w in closure if y == z} - closure
+        if not longer:
+            return closure
+        closure |= longer
+
+
+def reference_reduction(closure) -> set:
+    """Closure pairs with no product strictly between them."""
+    return {
+        (x, y)
+        for x, y in closure
+        if not any((x, z) in closure and (z, y) in closure for _, z in closure)
+    }
+
+
+def reference_correlated(closure, att) -> bool:
+    """The two conditions, checked pair by pair over the closure."""
+    ids = range(1, len(att) + 1)
+    return all(att[x - 1] > att[y - 1] for x, y in closure) and all(
+        (z, y) in closure for x, y in closure for z in ids if att[z - 1] > att[x - 1]
+    )
+
+
+@st.composite
+def edge_lists(draw, n=None, acyclic=None):
+    """``(n, edges)`` over products ``1..n``.  Half the lists are oriented
+    along a hidden ranking (always acyclic); the rest are arbitrary pairs,
+    self-loops and cycles included."""
+    if n is None:
+        n = draw(st.integers(0, MAX_N))
+    if n == 0:
+        return 0, []
+    ids = st.integers(1, n)
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=3 * n))
+    if acyclic if acyclic is not None else draw(st.booleans()):
+        rank = draw(st.permutations(range(n)))
+        pairs = [(x, y) if rank[x - 1] < rank[y - 1] else (y, x)
+                 for x, y in pairs if x != y]
+    return n, pairs
+
+
+@st.composite
+def instances(draw):
+    n, edges = draw(edge_lists(acyclic=True))
+    revenues = draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
+    att = draw(st.lists(attractiveness_values, min_size=n, max_size=n))
+    a0 = draw(st.floats(0.0, 10.0))
+    inst = make_instance(revenues, att, a0, validate_partial_order(edges, n))
+    members = draw(st.lists(st.integers(1, n), max_size=n)) if n else []
+    return inst, members
+
+
+@given(edge_lists())
+def test_closure_reduction_and_cycles_match_definitions(case):
+    n, edges = case
+    closure = reference_closure(edges)
+    if any(x == y for x, y in closure):
+        with pytest.raises(CycleError):
+            validate_partial_order(edges, n)
+        return
+    rel = validate_partial_order(edges, n)
+    assert rel.closure == closure
+    assert rel.reduction == reference_reduction(closure)
+
+
+@given(
+    st.lists(attractiveness_values, max_size=MAX_N),
+    st.one_of(st.floats(0.001, 3.0), st.sampled_from([0.5, 1.0])),
+)
+def test_threshold_dominance_matches_definition(att, t):
+    n = len(att)
+    expected = {
+        (x, y)
+        for x in range(1, n + 1)
+        for y in range(1, n + 1)
+        if att[x - 1] > (1 + t) * att[y - 1]
+    }
+    rel = threshold_dominance(att, t)
+    assert rel.closure == expected
+    assert rel.reduction == reference_reduction(expected)
+
+
+@given(st.data())
+def test_attractiveness_correlation_matches_definition(data):
+    att = data.draw(st.lists(attractiveness_values, max_size=MAX_N))
+    n = len(att)
+    kind = data.draw(st.sampled_from(["threshold", "threshold-less-one", "dag",
+                                      "dag-toward-less-attractive"]))
+    if kind.startswith("threshold"):
+        edges = sorted(threshold_dominance(att, data.draw(st.sampled_from([0.2, 1.0]))).closure)
+        if edges and kind == "threshold-less-one":
+            edges.pop(data.draw(st.integers(0, len(edges) - 1)))
+    else:
+        _, edges = data.draw(edge_lists(n=n, acyclic=True))
+        if kind == "dag-toward-less-attractive":
+            edges = [(x, y) for x, y in edges if att[x - 1] > att[y - 1]]
+    rel = validate_partial_order(edges, n)
+    inst = make_instance([1.0] * n, att, 1.0, rel)
+    assert is_attractiveness_correlated(inst) == reference_correlated(rel.closure, att)
+
+
+@given(instances())
+def test_consideration_set_is_idempotent(case):
+    inst, members = case
+    c = consideration_set(members, inst)
+    assert consideration_set(c, inst) == c
+    assert inst.dominance.is_antichain(c)
+
+
+@given(instances())
+def test_revenue_depends_only_on_the_consideration_set(case):
+    inst, members = case
+    c = consideration_set(members, inst)
+    assert expected_revenue(members, inst) == pytest.approx(
+        expected_revenue(c, inst), rel=1e-12, abs=1e-12
+    )
+
+
+@given(st.data())
+def test_flow_antichain_matches_enumeration(data):
+    n, edges = data.draw(edge_lists(acyclic=True))
+    weights = data.draw(st.lists(st.floats(-5.0, 10.0), min_size=n, max_size=n))
+    poset = WeightedPoset(validate_partial_order(edges, n), tuple(weights))
+    chosen, value = max_weight_antichain(poset)
+    _, expected = brute_force_antichain(poset)
+    assert value == pytest.approx(expected, abs=1e-9)
+    assert poset.relation.is_antichain(chosen)
