@@ -7,13 +7,7 @@ pricing problem under threshold dominance, and ships brute-force oracles
 plus a seeded benchmark harness.
 """
 
-from .antichain import (
-    Arc,
-    FlowNetwork,
-    WeightedPoset,
-    max_weight_antichain,
-    min_flow_with_lower_bounds,
-)
+from .antichain import WeightedPoset, max_weight_antichain
 from .assortment import (
     AssortmentSolution,
     revenue_ordered_heuristic,
@@ -47,7 +41,6 @@ from .errors import (
     BadGroupSizes,
     CycleError,
     IdOutOfRange,
-    InfeasibleNetwork,
     LuceOptError,
     NegativeArgument,
     NoFeasibleCandidate,

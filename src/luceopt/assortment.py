@@ -167,12 +167,26 @@ def solve_assortment_gam(
     fractional shape with modified denominator coefficients, so the same
     Dinkelbach driver applies with subproblem weights
     ``r_j v_j - lam (v_j - w_j)``.
+
+    As for :class:`~luceopt.model.Product` and
+    :class:`~luceopt.model.Instance`, revenues and ``v0`` must be finite and
+    >= 0 and each ``v_j`` finite and > 0 (else :class:`NonPositiveInput`);
+    a ``w_j`` outside ``[0, v_j]``, NaN included, raises
+    :class:`WeightOrderError`.
     """
     n = len(revenues)
     if not (len(v) == len(w) == n):
         raise ValueError("revenues, v and w must have equal length")
+    if not 0 <= v0 < math.inf:
+        raise NonPositiveInput(f"v0 must be finite and >= 0, got {v0}")
     for j in range(n):
-        if w[j] < 0 or w[j] > v[j]:
+        if not 0 <= revenues[j] < math.inf:
+            raise NonPositiveInput(
+                f"revenue must be finite and >= 0, got r_{j + 1}={revenues[j]}"
+            )
+        if not 0 < v[j] < math.inf:
+            raise NonPositiveInput(f"v must be finite and > 0, got v_{j + 1}={v[j]}")
+        if not 0 <= w[j] <= v[j]:
             raise WeightOrderError(
                 f"need 0 <= w_j <= v_j, got w_{j + 1}={w[j]}, v_{j + 1}={v[j]}"
             )

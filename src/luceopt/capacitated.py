@@ -133,8 +133,13 @@ def tree_dp_max_att(
         return out
 
     C = capacity
+    # table[v][c]: the best value within v's pruned subtree using at most c
+    # products, for c up to min(C, leaves of the subtree); beyond that it is
+    # flat.  own[v][c] says whether v alone wins; split[v][j][c] is the
+    # capacity the j-th child gets when the first j + 1 share c.
     table: dict[int, list[float]] = {}
-    pick: dict[int, list[tuple[str, object]]] = {}
+    own: dict[int, list[bool]] = {}
+    split: dict[int, list[list[int]]] = {}
 
     # Iterative post-order over the pruned tree rooted at the virtual node.
     order: list[int] = []
@@ -148,44 +153,42 @@ def tree_dp_max_att(
 
     for v in reversed(order):
         # Combine the children subtrees one at a time: comb[c] is the best
-        # value using the first j subtrees with total size <= c.
-        comb = [0.0] * (C + 1)
-        comb_split: list[list[tuple[int, int]]] = [[] for _ in range(C + 1)]
+        # value using the first j subtrees with total size <= c.  Only
+        # splits within both sizes are tried (the O(n*C) tree knapsack).
+        comb: list[float] = [0.0]
+        split[v] = []
         for child in kids[v]:
             child_tab = table[child]
-            new = [0.0] * (C + 1)
-            new_split: list[list[tuple[int, int]]] = [[] for _ in range(C + 1)]
-            for c in range(C + 1):
+            prev, size = len(comb) - 1, len(child_tab) - 1
+            new: list[float] = []
+            qs: list[int] = []
+            for c in range(min(C, prev + size) + 1):
                 best, best_q = -math.inf, 0
-                for q in range(c + 1):
+                for q in range(max(0, c - prev), min(c, size) + 1):
                     val = comb[c - q] + child_tab[q]
                     if val > best:
                         best, best_q = val, q
-                new[c] = best
-                new_split[c] = comb_split[c - best_q] + [(child, best_q)]
-            comb, comb_split = new, new_split
-        tab = [0.0] * (C + 1)
-        choice: list[tuple[str, object]] = [("none", None)] * (C + 1)
-        for c in range(1, C + 1):
-            if v != 0 and w[v] > comb[c]:
-                tab[c] = w[v]
-                choice[c] = ("self", None)
-            else:
-                tab[c] = comb[c]
-                choice[c] = ("children", comb_split[c])
-        table[v] = tab
-        pick[v] = choice
+                new.append(best)
+                qs.append(best_q)
+            comb = new
+            split[v].append(qs)
+        if len(comb) == 1:
+            comb.append(0.0)  # room for v itself
+        own[v] = [c > 0 and w[v] > comb[c] for c in range(len(comb))]
+        table[v] = [w[v] if mine else x for mine, x in zip(own[v], comb)]
 
     chosen: set[int] = set()
-    todo: list[tuple[int, int]] = [(0, C)]
+    todo: list[tuple[int, int]] = [(0, len(table[0]) - 1)]
     while todo:
         v, c = todo.pop()
-        kind, payload = pick[v][c]
-        if kind == "self":
+        if own[v][c]:
             chosen.add(v)
-        elif kind == "children":
-            todo.extend((child, q) for child, q in payload if q > 0)  # type: ignore[union-attr]
-    return table[0][C], frozenset(chosen)
+            continue
+        for child, qs in zip(reversed(kids[v]), reversed(split[v])):
+            if qs[c] > 0:
+                todo.append((child, qs[c]))
+            c -= qs[c]
+    return table[0][-1], frozenset(chosen)
 
 
 def solve_capacitated_tree(

@@ -50,10 +50,6 @@ class NotAttractivenessCorrelated(LuceOptError):
     """The instance fails the attractiveness-correlation conditions."""
 
 
-class InfeasibleNetwork(LuceOptError):
-    """No flow satisfies the lower bounds of a flow network."""
-
-
 class NegativeArgument(LuceOptError):
     """Lambert W was called outside the non-negative principal domain."""
 

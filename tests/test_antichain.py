@@ -1,5 +1,5 @@
-"""Maximum-weight antichain: flow solver vs brute-force oracle, the
-min-flow primitive itself, and the duality invariants."""
+"""Maximum-weight antichain: flow solver vs brute-force oracle, weight
+validation, and the duality invariants."""
 
 import math
 
@@ -7,64 +7,14 @@ import numpy as np
 import pytest
 
 from luceopt import (
-    FlowNetwork,
-    InfeasibleNetwork,
     TooLarge,
     WeightedPoset,
     brute_force_antichain,
     max_weight_antichain,
-    min_flow_with_lower_bounds,
     validate_partial_order,
 )
+from luceopt.antichain import _max_flow
 from conftest import random_instance
-
-
-class TestMinFlowWithLowerBounds:
-    def test_single_arc(self):
-        net = FlowNetwork("s", "t")
-        net.add_arc("s", "t", lower=3.0)
-        min_flow_with_lower_bounds(net)
-        assert net.value() == pytest.approx(3.0, abs=1e-9)
-
-    def test_two_elements_one_chain(self):
-        # Two split arcs with lower bounds 2 and 3; a chain arc lets one
-        # source-sink path cover both, so 3 units suffice.
-        net = FlowNetwork("s", "t")
-        net.add_arc("s", "v_in")
-        net.add_arc("v_in", "v_out", lower=2.0)
-        net.add_arc("v_out", "t")
-        net.add_arc("s", "u_in")
-        net.add_arc("u_in", "u_out", lower=3.0)
-        net.add_arc("u_out", "t")
-        net.add_arc("v_out", "u_in")
-        min_flow_with_lower_bounds(net)
-        assert net.value() == pytest.approx(3.0, abs=1e-9)
-
-    def test_no_lower_bounds_gives_zero(self):
-        net = FlowNetwork("s", "t")
-        net.add_arc("s", "m")
-        net.add_arc("m", "t")
-        min_flow_with_lower_bounds(net)
-        assert net.value() == pytest.approx(0.0, abs=1e-12)
-
-    def test_flows_respect_bounds(self):
-        net = FlowNetwork("s", "t")
-        net.add_arc("s", "a", lower=1.0)
-        net.add_arc("a", "t", lower=2.5)
-        net.add_arc("s", "a", capacity=4.0)
-        min_flow_with_lower_bounds(net)
-        for arc in net.arcs:
-            assert arc.flow >= arc.lower - 1e-9
-            assert arc.flow <= arc.capacity + 1e-9
-        assert net.value() == pytest.approx(2.5, abs=1e-9)
-
-    def test_infeasible_detected(self):
-        # A lower bound downstream of a tighter bottleneck cannot be met.
-        net = FlowNetwork("s", "t")
-        net.add_arc("s", "m", capacity=1.0)
-        net.add_arc("m", "t", lower=2.0)
-        with pytest.raises(InfeasibleNetwork):
-            min_flow_with_lower_bounds(net)
 
 
 class TestMaxWeightAntichain:
@@ -92,6 +42,12 @@ class TestMaxWeightAntichain:
     def test_all_nonpositive_gives_empty(self):
         rel = validate_partial_order({(1, 2)}, 2)
         assert max_weight_antichain(WeightedPoset(rel, (-1, 0))) == (frozenset(), 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        rel = validate_partial_order({(1, 2)}, 3)
+        with pytest.raises(ValueError, match="finite"):
+            WeightedPoset(rel, (1.0, bad, 2.0))
 
 
 class TestBruteForceAntichain:
@@ -131,22 +87,21 @@ class TestOracleEquivalence:
             assert sum(weights[i - 1] for i in chosen) == pytest.approx(value, abs=1e-12)
 
     def test_duality_flow_value_equals_antichain_value(self):
+        # Fulkerson's network: s -> x' and x'' -> t carry w_x, every closure
+        # pair x > y is an uncapacitated arc x' -> y''.  The total weight
+        # minus the maximum flow is the maximum antichain weight.
         rng = np.random.default_rng(99)
         for trial in range(100):
             n = int(rng.integers(1, 11))
             rel = random_instance(trial, n=n, d=float(rng.uniform(0, 1)),
                                   seed=77).dominance
             weights = tuple(rng.uniform(0.1, 10.0, n))
-            net = FlowNetwork("s", "t")
-            for v in range(1, n + 1):
-                net.add_arc("s", (v, "in"))
-                net.add_arc((v, "in"), (v, "out"), lower=weights[v - 1])
-                net.add_arc((v, "out"), "t")
-            for x, y in rel.closure:
-                net.add_arc((x, "out"), (y, "in"))
-            min_flow_with_lower_bounds(net)
+            arcs = [(0, 1 + v, weights[v - 1]) for v in range(1, n + 1)]
+            arcs += [(1 + n + v, 1, weights[v - 1]) for v in range(1, n + 1)]
+            arcs += [(1 + x, 1 + n + y, math.inf) for x, y in rel.closure]
+            flow, _ = _max_flow(2 + 2 * n, arcs, 0, 1)
             _, value = max_weight_antichain(WeightedPoset(rel, weights))
-            assert net.value() == pytest.approx(value, abs=1e-9 * max(1.0, value))
+            assert sum(weights) - flow == pytest.approx(value, abs=1e-9 * max(1.0, value))
 
     def test_adding_edges_never_increases_value(self):
         rng = np.random.default_rng(5)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from luceopt import (
+    NonPositiveInput,
     WeightOrderError,
     brute_force_assortment,
     expected_revenue,
@@ -181,3 +182,25 @@ class TestGeneralAttractionModel:
         rel = validate_partial_order(set(), 2)
         with pytest.raises(WeightOrderError):
             solve_assortment_gam([1.0, 1.0], [2.0, 2.0], [3.0, 0.0], 1.0, rel)
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("revenues", math.nan, NonPositiveInput),
+        ("revenues", math.inf, NonPositiveInput),
+        ("revenues", -1.0, NonPositiveInput),
+        ("v", math.nan, NonPositiveInput),
+        ("v", math.inf, NonPositiveInput),
+        ("v", 0.0, NonPositiveInput),
+        ("w", math.nan, WeightOrderError),
+        ("w", -math.inf, WeightOrderError),
+        ("v0", math.nan, NonPositiveInput),
+        ("v0", math.inf, NonPositiveInput),
+        ("v0", -1.0, NonPositiveInput),
+    ])
+    def test_invalid_inputs_rejected_before_solving(self, field, value, error):
+        args = {"revenues": [1.0, 2.0], "v": [2.0, 2.0], "w": [0.0, 0.0], "v0": 1.0}
+        if field == "v0":
+            args["v0"] = value
+        else:
+            args[field][1] = value
+        with pytest.raises(error):
+            solve_assortment_gam(dominance=validate_partial_order(set(), 2), **args)

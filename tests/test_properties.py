@@ -1,19 +1,23 @@
-"""Property tests of the dominance representation on small random inputs,
-each checked against a short definitional reference written here."""
+"""Property tests of the dominance representation and the solvers on small
+random inputs, each checked against a short definitional reference written
+here or a brute-force oracle."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from luceopt import (
+    CapacitatedProblem,
     CycleError,
     WeightedPoset,
     brute_force_antichain,
+    brute_force_assortment,
     consideration_set,
     expected_revenue,
     is_attractiveness_correlated,
     make_instance,
     max_weight_antichain,
+    solve_capacitated_tree,
     threshold_dominance,
     validate_partial_order,
 )
@@ -157,3 +161,38 @@ def test_flow_antichain_matches_enumeration(data):
     _, expected = brute_force_antichain(poset)
     assert value == pytest.approx(expected, abs=1e-9)
     assert poset.relation.is_antichain(chosen)
+
+
+@st.composite
+def forest_problems(draw):
+    """A capacitated instance whose dominance reduction is a forest: each
+    product's direct dominator is an earlier product in a hidden ranking,
+    or none.  A third of the draws are single chains, where every subtree
+    table is flat beyond one product and ties between splits abound."""
+    n = draw(st.integers(1, MAX_N))
+    rank = draw(st.permutations(range(1, n + 1)))
+    if draw(st.integers(0, 2)) == 0:
+        edges = list(zip(rank, rank[1:]))
+    else:
+        parents = [draw(st.integers(-1, k - 1)) for k in range(n)]
+        edges = [(rank[p], rank[k]) for k, p in enumerate(parents) if p >= 0]
+    # Revenues of at least 1 keep most products worth offering, so the
+    # capacity binds.  With a0 = 0 the revenue is a weighted mean of the
+    # offered revenues and the best single product is optimal.
+    revenues = draw(st.lists(st.floats(1.0, 10.0), min_size=n, max_size=n))
+    att = draw(st.lists(attractiveness_values, min_size=n, max_size=n))
+    a0 = draw(st.floats(0.5, 10.0))
+    inst = make_instance(revenues, att, a0, validate_partial_order(edges, n))
+    return CapacitatedProblem(inst, draw(st.integers(1, n)))
+
+
+@given(forest_problems())
+def test_tree_solver_matches_enumeration(prob):
+    got = solve_capacitated_tree(prob)
+    want = brute_force_assortment(prob.instance, capacity=prob.capacity)
+    assert got.revenue == pytest.approx(want.value, rel=1e-9, abs=1e-9)
+    assert len(got.assortment) <= prob.capacity
+    assert prob.instance.dominance.is_antichain(got.assortment)
+    assert expected_revenue(got.assortment, prob.instance) == pytest.approx(
+        got.revenue, rel=1e-12, abs=1e-12
+    )
