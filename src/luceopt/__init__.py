@@ -45,7 +45,6 @@ from .errors import (
     NegativeArgument,
     NoFeasibleCandidate,
     NonPositiveInput,
-    NonPositiveT,
     NotATree,
     NotAttractivenessCorrelated,
     ProblemTooLarge,
@@ -66,7 +65,6 @@ from .model import (
     expected_revenue_priced,
     instance_to_dict,
     is_valid_pair,
-    load_instance,
     dump_instance,
     make_instance,
     parse_instance,
@@ -91,7 +89,6 @@ from .pricing import (
     quasi_same_price_policy,
     solve_japtlm,
     solve_japtlm_k,
-    two_product_equal_price,
 )
 
 __version__ = "0.1.0"

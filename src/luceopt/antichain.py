@@ -107,13 +107,11 @@ def _max_flow(
                 u = head[path[k] ^ 1]
                 del path[k:]
                 continue
-            edges, i = adj[u], it[u]
-            while i < len(edges) and not (
-                cap[edges[i]] > _EPS and level[head[edges[i]]] == level[u] + 1
-            ):
+            edges, i, end, up = adj[u], it[u], len(adj[u]), level[u] + 1
+            while i < end and not (cap[edges[i]] > _EPS and level[head[edges[i]]] == up):
                 i += 1
             it[u] = i
-            if i < len(edges):
+            if i < end:
                 path.append(edges[i])
                 u = head[edges[i]]
             elif u == s:

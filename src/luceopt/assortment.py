@@ -1,13 +1,23 @@
-"""Unconstrained assortment optimization.
+"""Unconstrained assortment optimization and the shared fractional driver.
 
-The objective sum(r_i a_i x_i) / (sum(a_i x_i) + a0) over antichains is a
-linear-fractional program whose linear subproblem is a maximum-weight
-antichain.  A Dinkelbach iteration drives it: for a revenue guess
-``lam``, maximize the antichain weight of ``(r_i - lam) * a_i``; if even
-the best antichain cannot beat ``lam * a0`` the guess is optimal, otherwise
-the incumbent's actual revenue becomes the next guess.  Every iterate is
-the revenue of a concrete antichain and strictly increases, so the loop
-terminates after finitely many steps with an eps-certificate.
+Every tractable assortment variant maximizes ``sum(num_i x_i) /
+(sum(den_i x_i) + den0)`` over its feasible sets, and one driver,
+:func:`_fractional`, runs Dinkelbach's (1967) iteration for all of them.
+It starts from the best single product.  For a revenue guess ``lam`` the
+variant's oracle returns a feasible set of largest weight
+``num_i - lam * den_i``; if even that set cannot beat ``lam * den0`` the
+guess is optimal, otherwise the set's own ratio is the next guess.  Every
+iterate is the revenue of a concrete set and strictly increases, so the
+loop terminates after finitely many steps with an eps-certificate.
+
+Each solver passes only ``(num, den, den0)`` and its oracle:
+
+* :func:`solve_assortment_2slm`: ``(r a, a, a0)``, the antichain flow;
+* :func:`solve_assortment_gam`: ``(r v, v - w, v0 + sum(w))``, the same flow;
+* :func:`~luceopt.capacitated.solve_capacitated_tree`: ``(r a, a, a0)``,
+  the forest DP over antichains of at most C products;
+* :func:`~luceopt.capacitated.solve_capacitated_mnl`: ``(r a, a, a0)``, the
+  at most C largest positive weights.
 
 The revenue-ordered baseline (optimal for the plain MNL, suboptimal once
 dominance enters) is included for benchmarking.
@@ -49,44 +59,53 @@ class AssortmentSolution:
     certificate_gap: float
 
 
-def _dinkelbach(
-    subproblem: Callable[[float], tuple[frozenset[int], float]],
-    ratio: Callable[[frozenset[int]], float],
-    initial_set: frozenset[int],
-    initial_lambda: float,
-    denom_const: float,
+def _check_finite(num: Sequence[float]) -> None:
+    """Reject ``r_i a_i >= 0`` whose total overflows, so that no set's
+    revenue numerator can; names the product when one overflows alone."""
+    if not math.isfinite(sum(num)):
+        bad = [i for i, x in enumerate(num, start=1) if not math.isfinite(x)]
+        where = f"product {bad[0]}" if bad else "the sum over all products"
+        raise LuceOptError(f"revenue x attractiveness overflows for {where}")
+
+
+def _fractional(
+    num: Sequence[float],
+    den: Sequence[float],
+    den0: float,
+    best_set: Callable[[list[float]], tuple[frozenset[int], float]],
     eps: float,
     trace: list[float] | None = None,
-) -> tuple[frozenset[int], float, int, float]:
-    """Shared fractional-programming loop.
+) -> AssortmentSolution:
+    """Dinkelbach's iteration for ``max sum(num[S]) / (sum(den[S]) + den0)``.
 
-    ``subproblem(lam)`` maximizes the numerator-minus-lam-denominator
-    weights, ``ratio(S)`` evaluates the true objective, ``denom_const`` is
-    the constant denominator term (the outside option's weight).
+    Products are ``1..len(num)``; ``den`` and ``den0`` are finite and
+    >= 0.  ``best_set(weights)`` returns a feasible set of largest total
+    weight and that weight (the empty set, weight 0, is always feasible).
+    A ``num`` whose total is not finite raises :class:`LuceOptError`
+    (CLI exit 2).
     """
     if not 0 <= eps < math.inf:
         raise NonPositiveInput(f"eps must be finite and >= 0, got {eps}")
-    incumbent, lam = initial_set, initial_lambda
+    _check_finite(num)
+    if not num:
+        return AssortmentSolution((), 0.0, 0, 0.0)
+
+    def ratio(S: Iterable[int]) -> float:
+        d = sum(den[i - 1] for i in S) + den0
+        return sum(num[i - 1] for i in S) / d if d > 0 else 0.0
+
+    singles = [x / (d + den0) if d + den0 > 0 else 0.0 for x, d in zip(num, den)]
+    lam = max(singles)
+    incumbent = frozenset({singles.index(lam) + 1})
     for iteration in range(1, _MAX_ITERATIONS + 1):
         if trace is not None:
             trace.append(lam)
-        candidate, value = subproblem(lam)
-        gap = value - lam * denom_const
+        candidate, value = best_set([x - lam * d for x, d in zip(num, den)])
+        gap = value - lam * den0
         if gap <= eps * max(1.0, lam):
-            return incumbent, lam, iteration, gap
+            return AssortmentSolution(tuple(sorted(incumbent)), lam, iteration, gap)
         incumbent, lam = candidate, ratio(candidate)
     raise LuceOptError(f"Dinkelbach iteration did not converge in {_MAX_ITERATIONS} steps")
-
-
-def _best_singleton(
-    values: Sequence[float], weights: Sequence[float], denom_const: float
-) -> tuple[frozenset[int], float]:
-    best_i, best = 1, -math.inf
-    for i, (v, w) in enumerate(zip(values, weights), start=1):
-        r = v / (w + denom_const) if w + denom_const > 0 else 0.0
-        if r > best:
-            best_i, best = i, r
-    return frozenset({best_i}), best
 
 
 def solve_assortment_2slm(
@@ -101,28 +120,11 @@ def solve_assortment_2slm(
     each iterate is a concrete antichain's revenue).  Pass a list as
     ``trace`` to capture the strictly increasing revenue-guess sequence.
     """
-    if inst.n == 0:
-        return AssortmentSolution((), 0.0, 0, 0.0)
-    rev = [p.revenue for p in inst.products]
-    att = [p.attractiveness for p in inst.products]
-
-    def subproblem(lam: float) -> tuple[frozenset[int], float]:
-        weights = tuple((r - lam) * a for r, a in zip(rev, att))
-        return max_weight_antichain(WeightedPoset(inst.dominance, weights))
-
-    start_set, start_lam = _best_singleton(
-        [r * a for r, a in zip(rev, att)], att, inst.a0
+    return _fractional(
+        [p.revenue * p.attractiveness for p in inst.products],
+        [p.attractiveness for p in inst.products], inst.a0,
+        lambda w: max_weight_antichain(WeightedPoset(inst.dominance, w)), eps, trace,
     )
-    chosen, lam, iterations, gap = _dinkelbach(
-        subproblem,
-        lambda S: expected_revenue(S, inst),
-        start_set,
-        start_lam,
-        inst.a0,
-        eps,
-        trace,
-    )
-    return AssortmentSolution(tuple(sorted(chosen)), lam, iterations, gap)
 
 
 def revenue_ordered_heuristic(inst: Instance) -> AssortmentSolution:
@@ -190,27 +192,8 @@ def solve_assortment_gam(
             raise WeightOrderError(
                 f"need 0 <= w_j <= v_j, got w_{j + 1}={w[j]}, v_{j + 1}={v[j]}"
             )
-    if n == 0:
-        return AssortmentSolution((), 0.0, 0, 0.0)
-    v_tilde = [vj - wj for vj, wj in zip(v, w)]
-    v0_tilde = v0 + sum(w)
-    numerators = [r * vj for r, vj in zip(revenues, v)]
-
-    def gam_value(S: Iterable[int]) -> float:
-        s = list(S)
-        denom = sum(v_tilde[i - 1] for i in s) + v0_tilde
-        if denom <= 0:
-            return 0.0
-        return sum(numerators[i - 1] for i in s) / denom
-
-    def subproblem(lam: float) -> tuple[frozenset[int], float]:
-        weights = tuple(
-            num - lam * vt for num, vt in zip(numerators, v_tilde)
-        )
-        return max_weight_antichain(WeightedPoset(dominance, weights))
-
-    start_set, start_lam = _best_singleton(numerators, v_tilde, v0_tilde)
-    chosen, lam, iterations, gap = _dinkelbach(
-        subproblem, gam_value, start_set, start_lam, v0_tilde, eps, trace
+    return _fractional(
+        [r * vj for r, vj in zip(revenues, v)], [vj - wj for vj, wj in zip(v, w)],
+        v0 + sum(w),
+        lambda x: max_weight_antichain(WeightedPoset(dominance, x)), eps, trace,
     )
-    return AssortmentSolution(tuple(sorted(chosen)), lam, iterations, gap)

@@ -19,14 +19,15 @@ unstructured instances instead of silently approximating.
 
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
-from .assortment import AssortmentSolution, DEFAULT_EPS, _best_singleton, _dinkelbach
+from .assortment import AssortmentSolution, DEFAULT_EPS, _check_finite, _fractional
 from .errors import NotAttractivenessCorrelated, NotATree, ProblemTooLarge, TooLarge
-from .model import DominanceRelation, Instance, _by_decreasing, expected_revenue
+from .model import DominanceRelation, Instance, _by_decreasing
 
 __all__ = [
     "CapacitatedProblem",
@@ -66,6 +67,7 @@ def solve_capacitated_bruteforce(prob: CapacitatedProblem) -> AssortmentSolution
         raise TooLarge(
             f"brute force capped at n={BRUTE_FORCE_MAX_N}, got {inst.n}"
         )
+    _check_finite([p.revenue * p.attractiveness for p in inst.products])
     result = brute_force_assortment(inst, capacity=prob.capacity, antichains_only=True)
     return AssortmentSolution(tuple(result.optimizer), result.value, 1, 0.0)
 
@@ -201,27 +203,12 @@ def solve_capacitated_tree(
     ok, _ = is_forest_reducible(inst.dominance)
     if not ok:
         raise NotATree("dominance reduction is not a forest")
-    rev = [p.revenue for p in inst.products]
-    att = [p.attractiveness for p in inst.products]
-
-    def subproblem(lam: float) -> tuple[frozenset[int], float]:
-        weights = [(r - lam) * a for r, a in zip(rev, att)]
-        value, chosen = tree_dp_max_att(inst.dominance, weights, prob.capacity)
-        return chosen, value
-
-    start_set, start_lam = _best_singleton(
-        [r * a for r, a in zip(rev, att)], att, inst.a0
+    return _fractional(
+        [p.revenue * p.attractiveness for p in inst.products],
+        [p.attractiveness for p in inst.products], inst.a0,
+        # tree_dp_max_att returns (value, set); the driver wants (set, value).
+        lambda w: tree_dp_max_att(inst.dominance, w, prob.capacity)[::-1], eps, trace,
     )
-    chosen, lam, iterations, gap = _dinkelbach(
-        subproblem,
-        lambda S: expected_revenue(S, inst),
-        start_set,
-        start_lam,
-        inst.a0,
-        eps,
-        trace,
-    )
-    return AssortmentSolution(tuple(sorted(chosen)), lam, iterations, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -267,35 +254,22 @@ def solve_capacitated_mnl(
 
     Dinkelbach again: for a guess ``lam`` the subproblem just keeps the at
     most ``capacity`` largest strictly positive values of
-    ``(r_i - lam) a_i``.  Positions in ``products`` are reported 1-based.
+    ``r_i a_i - lam a_i``.  Positions in ``products`` are reported 1-based.
     """
-    m = len(products)
-    if m == 0:
-        return AssortmentSolution((), 0.0, 0, 0.0)
     if capacity < 1:
         raise ValueError(f"capacity must be >= 1, got {capacity}")
-    rev = [r for r, _ in products]
-    att = [a for _, a in products]
-
-    def subproblem(lam: float) -> tuple[frozenset[int], float]:
-        weights = [((r - lam) * a, i) for i, (r, a) in enumerate(zip(rev, att), 1)]
-        weights.sort(key=lambda t: (-t[0], t[1]))
-        chosen = [i for wgt, i in weights[:capacity] if wgt > 0.0]
-        return frozenset(chosen), sum(max(wgt, 0.0) for wgt, _ in weights[:capacity])
-
-    def mnl_value(S: frozenset[int]) -> float:
-        denom = sum(att[i - 1] for i in S) + a0
-        if denom <= 0:
-            return 0.0
-        return sum(rev[i - 1] * att[i - 1] for i in S) / denom
-
-    start_set, start_lam = _best_singleton(
-        [r * a for r, a in zip(rev, att)], att, a0
+    return _fractional(
+        [r * a for r, a in products], [a for _, a in products], a0,
+        lambda w: _top_positive(w, capacity), eps,
     )
-    chosen, lam, iterations, gap = _dinkelbach(
-        subproblem, mnl_value, start_set, start_lam, a0, eps
-    )
-    return AssortmentSolution(tuple(sorted(chosen)), lam, iterations, gap)
+
+
+def _top_positive(weights: Sequence[float], capacity: int) -> tuple[frozenset[int], float]:
+    """The at most ``capacity`` largest strictly positive weights (ties to
+    the smaller position, 1-based) and their sum."""
+    top = heapq.nlargest(capacity, range(len(weights)), key=weights.__getitem__)
+    chosen = [i for i in top if weights[i] > 0.0]
+    return frozenset(i + 1 for i in chosen), sum(weights[i] for i in chosen)
 
 
 def solve_capacitated_attcorr(

@@ -54,10 +54,6 @@ class NegativeArgument(LuceOptError):
     """Lambert W was called outside the non-negative principal domain."""
 
 
-class NonPositiveT(LuceOptError):
-    """A market-share total T must be strictly positive."""
-
-
 class ZeroOutsideOption(LuceOptError):
     """Pricing routines require a strictly positive outside-option
     attractiveness."""

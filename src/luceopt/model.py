@@ -51,7 +51,6 @@ __all__ = [
     "parse_instance",
     "parse_priced_instance",
     "instance_to_dict",
-    "load_instance",
     "dump_instance",
 ]
 
@@ -553,11 +552,6 @@ def instance_to_dict(inst: Instance, utilities: Sequence[float] | None = None) -
             "edges": [list(e) for e in sorted(inst.dominance.reduction)],
         },
     }
-
-
-def load_instance(path: str) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(json.load(fh))
 
 
 def dump_instance(

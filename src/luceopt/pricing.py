@@ -32,24 +32,18 @@ from scipy.optimize import minimize_scalar
 
 from .errors import (
     BadGroupSizes,
+    LuceOptError,
     NegativeArgument,
     NoFeasibleCandidate,
-    NonPositiveT,
     ZeroOutsideOption,
 )
-from .model import (
-    PricedInstance,
-    consideration_set_priced,
-    expected_revenue_priced,
-    is_valid_pair,
-)
+from .model import PricedInstance, is_valid_pair
 
 __all__ = [
     "lambert_w",
     "PricingSolution",
     "BoundaryCandidate",
     "fixed_price_policy",
-    "two_product_equal_price",
     "japtlm_candidate",
     "solve_japtlm_k",
     "solve_japtlm",
@@ -60,17 +54,25 @@ __all__ = [
 
 _FEAS_TOL = 1e-9
 _TIE_TOL = 1e-10
+# exp() arguments are kept at or below 700, so each term stays below 1e304
+# and sums over up to 10^4 products stay finite.
+_MAX_EXP_ARG = 700.0
+# From about 3.7e302 on, lambert_w's first Halley step overflows and the
+# result is wrong (1% off at 1e303, NaN from 1e307).
+_MAX_LAMBERT_ARG = 3e302
 
 
 def lambert_w(x: float) -> float:
-    """Principal-branch Lambert W for ``x >= 0``: the ``w >= 0`` solving
-    ``w * exp(w) = x``.
+    """Principal-branch Lambert W for ``0 <= x <= 3e302``: the ``w >= 0``
+    solving ``w * exp(w) = x``.
 
     Halley iteration from the starting guess ``log(1 + x)``; converges to
     residual ``|w e^w - x| <= 1e-12 * max(1, x)`` in a handful of steps.
     """
     if math.isnan(x) or x < 0:
         raise NegativeArgument(f"lambert_w requires x >= 0, got {x}")
+    if x > _MAX_LAMBERT_ARG:
+        raise LuceOptError(f"lambert_w argument {x} exceeds {_MAX_LAMBERT_ARG}")
     if x == 0.0:
         return 0.0
     w = math.log1p(x)
@@ -127,9 +129,13 @@ class BoundaryCandidate:
     feasible: bool
 
 
-def _require_positive_a0(a0: float) -> None:
-    if not a0 > 0:
+def _check_domain(inst: PricedInstance) -> None:
+    if not inst.a0 > 0:
         raise ZeroOutsideOption("pricing requires a0 > 0")
+    if inst.n and inst.utilities[0] > _MAX_EXP_ARG:
+        raise LuceOptError(
+            f"top utility {inst.utilities[0]} exceeds {_MAX_EXP_ARG}; exp() would overflow"
+        )
 
 
 def fixed_price_policy(inst: PricedInstance, k: int | None = None) -> PricingSolution:
@@ -140,7 +146,7 @@ def fixed_price_policy(inst: PricedInstance, k: int | None = None) -> PricingSol
     prefixes are also scored (the Lambert form is monotone in the offered
     set, so the longest survivor wins).  Prices are ``1 + R``.
     """
-    _require_positive_a0(inst.a0)
+    _check_domain(inst)
     cap = inst.n if k is None else k
     if not 1 <= cap <= inst.n:
         raise ValueError(f"k must be in 1..{inst.n}, got {cap}")
@@ -158,16 +164,6 @@ def fixed_price_policy(inst: PricedInstance, k: int | None = None) -> PricingSol
             best_j, best_r = j, r
     price = 1.0 + best_r
     return PricingSolution(best_j, (price,) * best_j, best_r, 0, 0, "unconstrained")
-
-
-def two_product_equal_price(u_i: float, u_j: float, total: float) -> float:
-    """Shared price maximizing ``p e^{u_i - p} + p e^{u_j - p}`` subject to
-    the two attractiveness summing to ``total``:
-    ``ln((e^{u_i} + e^{u_j}) / total)``."""
-    if not total > 0:
-        raise NonPositiveT(f"market-share total must be > 0, got {total}")
-    hi = max(u_i, u_j)
-    return hi + math.log(1.0 + math.exp(min(u_i, u_j) - hi)) - math.log(total)
 
 
 def japtlm_candidate(
@@ -190,7 +186,7 @@ def japtlm_candidate(
     net utilities are non-increasing, prices are non-negative, and the
     multiplier signs hold (top-group prices >= 1 + R, bottom <= 1 + R).
     """
-    _require_positive_a0(inst.a0)
+    _check_domain(inst)
     if not (1 <= k <= inst.n and k1 >= 1 and k2 >= 1 and k1 + k2 <= k):
         raise BadGroupSizes(
             f"need 1 <= k1, 1 <= k2, k1 + k2 <= k <= n; got k={k}, k1={k1}, k2={k2}"
@@ -205,6 +201,8 @@ def japtlm_candidate(
     c1 = ((1.0 + t) * sum(top) + sum(bottom) + k2 * log1pt) / (
         k1 * (1.0 + t) + k2
     ) - 1.0
+    if abs(c1) > _MAX_EXP_ARG:
+        raise LuceOptError(f"c1={c1} for k={k}, k1={k1}, k2={k2}; exp() would overflow")
     ebar = sum(math.exp(ui) for ui in middle)
     c2 = (k1 + k2 / (1.0 + t)) + ebar * math.exp(-c1 - 1.0)
     revenue = lambert_w(c2 * math.exp(c1) / inst.a0)
@@ -263,7 +261,7 @@ def solve_japtlm_k(inst: PricedInstance, k: int) -> PricingSolution:
     pair, which only happens when the true optimum for this ``k`` sits on
     the zero-price boundary and is therefore dominated by a shorter prefix.
     """
-    _require_positive_a0(inst.a0)
+    _check_domain(inst)
     if not 1 <= k <= inst.n:
         raise ValueError(f"k must be in 1..{inst.n}, got {k}")
     u = inst.utilities
@@ -299,7 +297,7 @@ def solve_japtlm(inst: PricedInstance) -> PricingSolution:
     feasible boundary candidate are skipped (their optima are dominated by
     shorter prefixes); size 1 always succeeds, so a solution always exists.
     """
-    _require_positive_a0(inst.a0)
+    _check_domain(inst)
     best: PricingSolution | None = None
     for k in range(1, inst.n + 1):
         try:
@@ -348,7 +346,7 @@ def quasi_same_price_policy(inst: PricedInstance) -> PricingSolution:
     :func:`fixed_price_policy` is also scored explicitly, so this policy
     never falls below it.
     """
-    _require_positive_a0(inst.a0)
+    _check_domain(inst)
     u = inst.utilities
     t = inst.t
     a0 = inst.a0

@@ -149,6 +149,32 @@ class TestSolveCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "converge" in err
 
+    @pytest.mark.parametrize("flags", [
+        pytest.param([], id="unconstrained"),
+        pytest.param(["--capacity", "1"], id="tree"),
+        pytest.param(["--capacity", "1", "--method", "attcorr"], id="attcorr"),
+        pytest.param(["--capacity", "1", "--method", "bruteforce"], id="bruteforce"),
+    ])
+    # r * a = 1e400 overflows (the true optimum is about 1e200); or each
+    # r * a = 1e308 is finite but the revenue numerator of two overflows.
+    @pytest.mark.parametrize("r, a, n", [
+        pytest.param(1e200, 1e200, 2, id="product"),
+        pytest.param(1e308, 1.0, 3, id="sum"),
+    ])
+    def test_revenue_times_attractiveness_overflow_is_exit_2(self, capsys, tmp_path,
+                                                             flags, r, a, n):
+        doc = {
+            "products": [{"id": i, "revenue": r, "attractiveness": a}
+                         for i in range(1, n + 1)],
+            "a0": 1.0,
+            "dominance": {"type": "explicit", "edges": []},
+        }
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["solve", "--instance", str(path)] + flags)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "overflow" in err
+
 
 class TestPriceCommand:
     def test_fixed_policy(self, capsys, fixed_price_num_file):
@@ -192,6 +218,24 @@ class TestPriceCommand:
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, ["price", "--instance", str(path)])
         assert code == 2 and err
+
+    # Top utility 800: exp() overflows.  Top utility 700 with a0 = 1: the
+    # Lambert W argument is e^699, beyond the range where it is accurate.
+    @pytest.mark.parametrize("top", [800.0, 700.0])
+    @pytest.mark.parametrize("policy", ["tlm-opt", "fixed", "quasi"])
+    def test_utility_out_of_range_is_exit_2(self, capsys, tmp_path, policy, top):
+        doc = {
+            "products": [{"id": i, "revenue": 1.0, "attractiveness": 1.0, "utility": u}
+                         for i, u in ((1, top), (2, 1.0))],
+            "a0": 1.0,
+            "dominance": {"type": "threshold", "t": 1.0},
+        }
+        path = tmp_path / "large_utility.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["price", "--instance", str(path),
+                                      "--policy", policy])
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
 
 
 class TestVerifyCommand:

@@ -8,9 +8,9 @@ import pytest
 
 from luceopt import (
     BadGroupSizes,
+    LuceOptError,
     NegativeArgument,
     NoFeasibleCandidate,
-    NonPositiveT,
     PricedInstance,
     ZeroOutsideOption,
     check_pricing_invariants,
@@ -22,7 +22,6 @@ from luceopt import (
     quasi_same_price_policy,
     solve_japtlm,
     solve_japtlm_k,
-    two_product_equal_price,
 )
 from conftest import random_priced_instance
 
@@ -54,6 +53,17 @@ class TestLambertW:
         with pytest.raises(NegativeArgument):
             lambert_w(-0.1)
 
+    def test_accurate_up_to_the_range_limit_and_rejected_beyond(self):
+        # Independent oracle: Newton on w + ln(w) = ln(x), no overflow.
+        x = 3e302
+        w = math.log(x)
+        for _ in range(50):
+            w -= (w + math.log(w) - math.log(x)) / (1.0 + 1.0 / w)
+        assert lambert_w(x) == pytest.approx(w, rel=1e-14)
+        for beyond in (1e303, 1e307, math.inf):
+            with pytest.raises(LuceOptError):
+                lambert_w(beyond)
+
 
 class TestFixedPricePolicy:
     def test_worked_example(self, fixed_price_num):
@@ -77,39 +87,6 @@ class TestFixedPricePolicy:
     def test_zero_outside_option_rejected(self):
         with pytest.raises(ZeroOutsideOption):
             fixed_price_policy(PricedInstance((1.0,), 1.0, 0.0))
-
-
-class TestTwoProductEqualPrice:
-    def test_symmetric_zero(self):
-        assert two_product_equal_price(0.0, 0.0, 2.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_against_grid_search(self):
-        # Maximize p_i e^{u_i - p_i} + p_j e^{u_j - p_j} with the two
-        # attractiveness constrained to sum to T, scanning p_i densely.
-        u_i, u_j, total = 1.0, 0.0, 1.0
-        best = -math.inf
-        for p_i in np.arange(0.05, 8.0, 1e-4):
-            share_i = math.exp(u_i - p_i)
-            rem = total - share_i
-            if rem <= 0:
-                continue
-            p_j = u_j - math.log(rem)
-            if p_j < 0:
-                continue
-            best = max(best, p_i * share_i + p_j * rem)
-        star = two_product_equal_price(u_i, u_j, total)
-        value_at_star = star * math.exp(u_i - star) + star * math.exp(u_j - star)
-        assert star == pytest.approx(math.log(math.e + 1.0), abs=1e-12)
-        assert value_at_star == pytest.approx(best, abs=1e-6)
-
-    def test_shift_identity(self):
-        base = two_product_equal_price(0.7, 0.2, 1.3)
-        shifted = two_product_equal_price(0.7 + 2.0, 0.2 + 2.0, 1.3 * math.exp(2.0))
-        assert shifted == pytest.approx(base, abs=1e-12)
-
-    def test_nonpositive_total_rejected(self):
-        with pytest.raises(NonPositiveT):
-            two_product_equal_price(1.0, 0.0, 0.0)
 
 
 class TestBoundaryCandidate:

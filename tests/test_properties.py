@@ -3,21 +3,25 @@ random inputs, each checked against a short definitional reference written
 here or a brute-force oracle."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luceopt import (
     CapacitatedProblem,
     CycleError,
+    PricedInstance,
     WeightedPoset,
     brute_force_antichain,
     brute_force_assortment,
+    check_pricing_invariants,
     consideration_set,
     expected_revenue,
     is_attractiveness_correlated,
     make_instance,
     max_weight_antichain,
+    solve_capacitated_attcorr,
     solve_capacitated_tree,
+    solve_japtlm,
     threshold_dominance,
     validate_partial_order,
 )
@@ -196,3 +200,43 @@ def test_tree_solver_matches_enumeration(prob):
     assert expected_revenue(got.assortment, prob.instance) == pytest.approx(
         got.revenue, rel=1e-12, abs=1e-12
     )
+
+
+@st.composite
+def threshold_problems(draw):
+    """A capacitated instance with threshold dominance over its own
+    attractiveness (always attractiveness-correlated); exact attractiveness
+    ties and exact ``1 + t`` ratios are frequent, so some pools keep a
+    dominance pair and the solver takes its brute-force fallback."""
+    n = draw(st.integers(1, 10))
+    att = draw(st.lists(attractiveness_values, min_size=n, max_size=n))
+    t = draw(st.one_of(st.floats(0.01, 2.0), st.sampled_from([0.5, 1.0])))
+    revenues = draw(st.lists(st.floats(1.0, 10.0), min_size=n, max_size=n))
+    inst = make_instance(revenues, att, draw(st.floats(0.5, 10.0)),
+                         threshold_dominance(att, t))
+    return CapacitatedProblem(inst, draw(st.integers(1, n)))
+
+
+@settings(max_examples=400)
+@given(threshold_problems())
+def test_attcorr_solver_matches_enumeration(prob):
+    got = solve_capacitated_attcorr(prob)
+    want = brute_force_assortment(prob.instance, capacity=prob.capacity)
+    assert got.revenue == pytest.approx(want.value, rel=1e-9, abs=1e-9)
+    assert len(got.assortment) <= prob.capacity
+    assert prob.instance.dominance.is_antichain(got.assortment)
+    assert expected_revenue(got.assortment, prob.instance) == pytest.approx(
+        got.revenue, rel=1e-12, abs=1e-12
+    )
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(st.one_of(st.floats(-3.0, 5.0), st.sampled_from([0.0, 1.0, 2.0])),
+             min_size=1, max_size=8),
+    st.one_of(st.floats(0.05, 5.0), st.sampled_from([0.5, 1.0])),
+    st.floats(0.1, 10.0),
+)
+def test_joint_pricing_invariants_hold(utilities, t, a0):
+    inst = PricedInstance(tuple(sorted(utilities, reverse=True)), t, a0)
+    assert check_pricing_invariants(solve_japtlm(inst), inst).all_pass
