@@ -26,6 +26,7 @@ dominance enters) is included for benchmarking.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -100,7 +101,12 @@ def _fractional(
     for iteration in range(1, _MAX_ITERATIONS + 1):
         if trace is not None:
             trace.append(lam)
-        candidate, value = best_set([x - lam * d for x, d in zip(num, den)])
+        weights = [x - lam * d for x, d in zip(num, den)]
+        if -math.inf in weights:
+            # lam * den_i overflowed: the most negative float is still below
+            # every weight an oracle would pick, and it is finite.
+            weights = [max(w, -sys.float_info.max) for w in weights]
+        candidate, value = best_set(weights)
         gap = value - lam * den0
         if gap <= eps * max(1.0, lam):
             return AssortmentSolution(tuple(sorted(incumbent)), lam, iteration, gap)

@@ -15,18 +15,32 @@ Structure of the optimum (for a fixed ``k``):
   one net utility ``u_s``, the bottom ``k2`` share ``u_s - ln(1 + t)``,
   and everything in between is priced at ``1 + R``.  For each ``(k1, k2)``
   the stationarity conditions collapse to one transcendental equation whose
-  solution is a Lambert W evaluation, giving a closed-form candidate that
-  is kept only if it passes the validity and multiplier-sign checks.
+  solution is a Lambert W evaluation (:func:`japtlm_candidate`).
+
+The groups need not be searched for.  With ``c = c1 + 1`` (the pair's
+level) and ``L = ln(1 + t)``, every check on a candidate except
+``p_k >= 0`` is independent of ``R``, and they hold exactly when the top
+group is ``{u_i >= c}``, the bottom group is ``{u_i <= c - L}`` and ``c``
+is the root of the water-filling equation::
+
+    phi(c) = (1 + t) * sum(u_i - c  for u_i >= c)
+             + sum(u_i + L - c  for u_i <= c - L) = 0
+
+``phi`` is continuous and strictly decreasing on ``[u_k + L, u_1]``, so
+each tight prefix has one root, and only the pairs whose boundaries sit
+at that root are built and checked.
 
 Two simpler policies serve as baselines: a single shared price (optimal
 for the plain MNL, arbitrarily bad here) and a shared price with only the
-last product priced separately.
+last product priced separately, whose shared price has a closed form.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from scipy.optimize import minimize_scalar
 
@@ -52,8 +66,19 @@ __all__ = [
     "check_pricing_invariants",
 ]
 
+# Slack allowed in each closed-form candidate check (prices, nets, groups).
 _FEAS_TOL = 1e-9
+# Revenue margin by which a later boundary candidate must win to replace one.
 _TIE_TOL = 1e-10
+# Half-width of the utility window around the water-filling root inside
+# which group boundaries are confirmed pair by pair.  The checks let a
+# utility sit up to _FEAS_TOL on the wrong side of a boundary, so a pair
+# that passes them has its own level within about _FEAS_TOL of the root;
+# the window is 100 times wider so that no such pair is missed.
+_ROOT_WINDOW = 1e-7
+# Relative widening of the dominance band ln(1 + t): an attractiveness
+# ratio of exactly 1 + t, as computed in floats, counts as undominated.
+_BAND_RTOL = 1e-12
 # exp() arguments are kept at or below 700, so each term stays below 1e304
 # and sums over up to 10^4 products stay finite.
 _MAX_EXP_ARG = 700.0
@@ -151,7 +176,7 @@ def fixed_price_policy(inst: PricedInstance, k: int | None = None) -> PricingSol
     if not 1 <= cap <= inst.n:
         raise ValueError(f"k must be in 1..{inst.n}, got {cap}")
     u = inst.utilities
-    limit = math.log1p(inst.t) * (1.0 + 1e-12)
+    limit = math.log1p(inst.t) * (1.0 + _BAND_RTOL)
     j_max = 1
     while j_max < cap and u[0] - u[j_max] <= limit:
         j_max += 1
@@ -243,19 +268,62 @@ def _candidate_feasible(
     # extreme pair decides, and by construction its ratio is exactly 1 + t,
     # which the comparison's guard band classifies as undominated.
     nets = [u[i] - prices[i] for i in range(k)]
-    return max(nets) - min(nets) <= math.log1p(inst.t) * (1.0 + 1e-12) + 1e-12
+    return max(nets) - min(nets) <= math.log1p(inst.t) * (1.0 + _BAND_RTOL) + 1e-12
+
+
+def _water_level(
+    u: tuple[float, ...], neg: list[float], t: float, log1pt: float
+) -> float:
+    """Root of ``phi`` (see the module docstring) for the tight prefix of
+    ``u`` whose negated utilities, in ascending order, are ``neg``.
+
+    ``phi`` is linear between its breakpoints ``u_i`` and ``u_i + L``, so
+    bisection runs only until the bracket holds no breakpoint; the root is
+    then that piece's weighted mean.  Each evaluation counts the two groups
+    with two binary searches and sums them from prefix sums.
+    """
+    k = len(neg)
+    acc = [0.0, *accumulate(u[:k])]
+    w = 1.0 + t
+
+    def groups(c: float) -> tuple[int, int]:
+        # #{u_i >= c}, #{u_i > c - L}; the bottom group is the rest.
+        return bisect_right(neg, -c), bisect_left(neg, log1pt - c)
+
+    def level(a: int, b: int) -> float:
+        return (w * acc[a] + acc[k] - acc[b] + (k - b) * log1pt) / (w * a + k - b)
+
+    lo, hi = log1pt - neg[-1], -neg[0]  # phi(lo) > 0 > phi(hi)
+    g_lo, g_hi = groups(lo), groups(hi)
+    while g_lo != g_hi:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid  # breakpoints closer than float spacing
+        g = groups(mid)
+        a, b = g
+        if w * (acc[a] - a * mid) + acc[k] - acc[b] + (k - b) * (log1pt - mid) > 0:
+            lo, g_lo = mid, g
+        else:
+            hi, g_hi = mid, g
+    return level(*g_lo)
 
 
 def solve_japtlm_k(inst: PricedInstance, k: int) -> PricingSolution:
     """Optimal prices for the fixed assortment ``[k]``.
 
     Slack case: ``exp(u_1 - u_k) <= 1 + t`` reduces to the shared-price
-    logit optimum over ``[k]``.  Tight case: enumerate the boundary group
-    sizes, keep feasible candidates, return the best (ties prefer smaller
-    ``k1`` then ``k2``).  Pairs that would split a run of equal utilities
-    are skipped: equal utilities take equal prices at any optimum, so a tie
-    group moves between the boundary groups as a block and the unsplit
-    sibling configuration achieves the same revenue.
+    logit optimum over ``[k]``.  Tight case: a pair ``(k1, k2)`` passes the
+    candidate checks only if its groups are the top ``{u_i >= c}`` and
+    bottom ``{u_i <= c - L}`` of the water-filling root ``c`` (module
+    docstring), found by :func:`_water_level` in O(k) time.  Only the pairs
+    whose boundaries fall within ``_ROOT_WINDOW`` of ``c`` and ``c - L``
+    are built with :func:`japtlm_candidate` and checked, in the order of
+    the exhaustive scan over ``(k1, k2)``, keeping the best feasible one
+    (ties prefer smaller ``k1`` then ``k2``), so the answer equals that
+    scan's.  Pairs that would split a run of equal utilities are skipped:
+    equal utilities take equal prices at any optimum, so a tie group moves
+    between the boundary groups as a block and the unsplit sibling
+    configuration achieves the same revenue.
 
     Raises :class:`NoFeasibleCandidate` if the tight case filters out every
     pair, which only happens when the true optimum for this ``k`` sits on
@@ -265,17 +333,28 @@ def solve_japtlm_k(inst: PricedInstance, k: int) -> PricingSolution:
     if not 1 <= k <= inst.n:
         raise ValueError(f"k must be in 1..{inst.n}, got {k}")
     u = inst.utilities
-    if u[0] - u[k - 1] <= math.log1p(inst.t) * (1.0 + 1e-12):
+    log1pt = math.log1p(inst.t)
+    if u[0] - u[k - 1] <= log1pt * (1.0 + _BAND_RTOL):
         # Shared-price logit optimum over all of [k]; nothing is dominated.
         acc = sum(math.exp(ui - 1.0) for ui in u[:k])
         r = lambert_w(acc / inst.a0)
         return PricingSolution(k, (1.0 + r,) * k, r, 0, 0, "unconstrained")
 
+    neg = [-x for x in u[:k]]  # ascending, for bisect
+    c = _water_level(u, neg, inst.t, log1pt)
+    d = _ROOT_WINDOW
+    # Top groups end between the last u_i > c + d and the last u_i >= c - d;
+    # bottom groups start between the first u_i <= c - L + d and the first
+    # u_i < c - L - d.
+    k1_min = max(1, bisect_left(neg, -c - d))
+    k1_max = min(k - 1, bisect_right(neg, d - c))
+    k2_min = max(1, k - bisect_right(neg, log1pt + d - c))
+    k2_max = k - bisect_left(neg, log1pt - d - c)
     best: BoundaryCandidate | None = None
-    for k1 in range(1, k):
+    for k1 in range(k1_min, k1_max + 1):
         if u[k1 - 1] == u[k1]:
             continue  # would split an equal-utility run
-        for k2 in range(1, k - k1 + 1):
+        for k2 in range(k2_min, min(k2_max, k - k1) + 1):
             if u[k - k2 - 1] == u[k - k2]:
                 continue
             cand = japtlm_candidate(inst, k, k1, k2)
@@ -333,18 +412,48 @@ def _maximize_scalar(f, lo: float, hi: float) -> tuple[float, float]:
     return best_x, best_val
 
 
+def _best_shared_price(
+    group_att: float, b: float, p_k: float, a0: float, lo: float, hi: float
+) -> float:
+    """Revenue-maximizing shared price in ``[lo, hi]`` for a group with
+    ``sum(exp(u_i)) = group_att`` beside a last product of attractiveness
+    ``b`` at price ``p_k``.
+
+    With ``G = group_att``, ``A = b + a0`` and ``B = p_k b`` the revenue
+    ``(p G e^-p + B) / (G e^-p + A)`` rises while ``G e^-p > A (p - 1) - B``
+    and falls after, so it is unimodal with peak
+    ``p* = 1 + B/A + W((G/A) e^(-1 - B/A))``, and clamping ``p*`` into the
+    band is exact.
+    """
+    outside = b + a0
+    shift = p_k * b / outside
+    x = group_att / outside * math.exp(-1.0 - shift)
+    if x <= _MAX_LAMBERT_ARG:
+        w = lambert_w(x)
+    else:
+        # W(e^y) beyond lambert_w's range: Newton on w + ln(w) = y.
+        y = math.log(group_att) - math.log(outside) - 1.0 - shift
+        w = y - math.log(y)
+        for _ in range(50):
+            step = (w + math.log(w) - y) * w / (w + 1.0)
+            w -= step
+            if abs(step) <= 1e-15 * w:
+                break
+    return min(max(1.0 + shift + w, lo), hi)
+
+
 def quasi_same_price_policy(inst: PricedInstance) -> PricingSolution:
     """One shared price for products ``1..k-1`` plus a separate price for
     product ``k``, best over ``k``.
 
     For each ``k`` the shared-price group must be internally dominance-free
     (``exp(u_1 - u_{k-1}) <= 1 + t``; once that fails for some ``k`` it
-    fails for all larger ones).  Given the last product's price, the shared
-    price is clamped into the band where neither end dominates the other
-    and the resulting unimodal revenue profile is maximized; an outer scan
-    plus refinement handles the last price.  The shared-price optimum of
-    :func:`fixed_price_policy` is also scored explicitly, so this policy
-    never falls below it.
+    fails for all larger ones).  Given the last product's price, the best
+    shared price is the closed form of :func:`_best_shared_price`, clamped
+    into the band where neither end dominates the other; an outer scan plus
+    a bounded 1-D refinement handles the last price.  The shared-price
+    optimum of :func:`fixed_price_policy` is also scored explicitly, so this
+    policy never falls below it.
     """
     _check_domain(inst)
     u = inst.utilities
@@ -356,13 +465,9 @@ def quasi_same_price_policy(inst: PricedInstance) -> PricingSolution:
     best = fixed
 
     for k in range(2, inst.n + 1):
-        if u[0] - u[k - 2] > log1pt * (1.0 + 1e-12):
+        if u[0] - u[k - 2] > log1pt * (1.0 + _BAND_RTOL):
             break
         group_att = sum(math.exp(ui) for ui in u[: k - 1])
-
-        def group_value(p: float, p_k: float, b: float) -> float:
-            g = group_att * math.exp(-p)
-            return (p * g + p_k * b) / (g + b + a0)
 
         def inner(p_k: float) -> tuple[float, float]:
             b = math.exp(u[k - 1] - p_k)
@@ -370,7 +475,9 @@ def quasi_same_price_policy(inst: PricedInstance) -> PricingSolution:
             hi = min(u[0] + 20.0, p_k + (u[k - 2] - u[k - 1]) + log1pt)
             if hi < lo:
                 return lo, -math.inf
-            return _maximize_scalar(lambda p: group_value(p, p_k, b), lo, hi)
+            p = _best_shared_price(group_att, b, p_k, a0, lo, hi)
+            g = group_att * math.exp(-p)
+            return p, (p * g + p_k * b) / (g + b + a0)
 
         # Outer scan over the last product's price, then local refinement.
         p_hi = u[k - 1] + 20.0

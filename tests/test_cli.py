@@ -175,6 +175,27 @@ class TestSolveCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "overflow" in err
 
+    # Every r * a is finite, but at lam = 5e307 the weight of product 2,
+    # 1e-300 * 1e300 - lam * 1e300, overflows to -inf.
+    @pytest.mark.parametrize("flags, method", [
+        pytest.param([], "unconstrained", id="unconstrained"),
+        pytest.param(["--capacity", "1"], "tree", id="tree"),
+        pytest.param(["--capacity", "2", "--method", "attcorr"], "attcorr", id="attcorr"),
+    ])
+    def test_overflowing_dinkelbach_weight_is_answered(self, capsys, tmp_path,
+                                                       flags, method):
+        doc = {
+            "products": [{"id": 1, "revenue": 1e308, "attractiveness": 1.0},
+                         {"id": 2, "revenue": 1e-300, "attractiveness": 1e300}],
+            "a0": 1.0,
+            "dominance": {"type": "explicit", "edges": []},
+        }
+        path = tmp_path / "weight_overflow.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["solve", "--instance", str(path)] + flags)
+        assert code == 0 and err == ""
+        assert json.loads(out) == {"assortment": [1], "revenue": 5e307, "method": method}
+
 
 class TestPriceCommand:
     def test_fixed_policy(self, capsys, fixed_price_num_file):

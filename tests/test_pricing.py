@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from luceopt import pricing
 from luceopt import (
     BadGroupSizes,
     LuceOptError,
@@ -161,6 +162,16 @@ class TestSolveJaptlmK:
         assert sol.mode == "unconstrained"
         assert sol.revenue == pytest.approx(lambert_w(2.0 * math.exp(-1.0) / 2.0))
 
+    def test_near_tie_keeps_the_first_feasible_pair(self):
+        # u_1 - u_2 = 5e-12 is inside the candidate checks' slack, so both
+        # k1 = 1 and k1 = 2 pass them with equal revenue; the water-filling
+        # root puts u_2 in the top group, but the first pair must be kept.
+        inst = PricedInstance((2.0, 2.0 - 5e-12, 1.0 - 2e-11), math.e - 1.0, 1.0)
+        assert japtlm_candidate(inst, 3, 1, 1).feasible
+        assert japtlm_candidate(inst, 3, 2, 1).feasible
+        sol = solve_japtlm_k(inst, 3)
+        assert (sol.k1, sol.k2) == (1, 1)
+
     def test_oracle_agreement_small_k(self):
         rng = np.random.default_rng(7)
         degenerate = 0
@@ -207,6 +218,26 @@ class TestSolveJaptlm:
                 solve_japtlm(inst).revenue / fixed_price_policy(inst).revenue
             )
         assert ratios[0] < ratios[1] < ratios[2]
+
+    @pytest.mark.parametrize("inst", [
+        pytest.param(PricedInstance((2.0,) + (1.0,) * 1000, 1.0, 1.0), id="clones-1001"),
+        pytest.param(random_priced_instance(0, n=400, seed=400), id="seeded-400"),
+    ])
+    def test_candidates_built_grow_linearly(self, monkeypatch, inst):
+        # Counts instead of timing: a return to the scan over every
+        # (k1, k2) pair builds about n^3 / 6 candidates, so stop it early.
+        calls = 0
+        real = pricing.japtlm_candidate
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            assert calls <= 4 * inst.n, "more than 4n boundary candidates"
+            return real(*args)
+
+        monkeypatch.setattr(pricing, "japtlm_candidate", counting)
+        solve_japtlm(inst)
+        assert calls > 0
 
     def test_policy_ordering_and_invariants(self):
         rng = np.random.default_rng(11)

@@ -2,29 +2,39 @@
 random inputs, each checked against a short definitional reference written
 here or a brute-force oracle."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from luceopt import (
     CapacitatedProblem,
     CycleError,
+    NoFeasibleCandidate,
     PricedInstance,
+    PricingSolution,
     WeightedPoset,
     brute_force_antichain,
     brute_force_assortment,
     check_pricing_invariants,
     consideration_set,
     expected_revenue,
+    fixed_price_policy,
+    japtlm_candidate,
     is_attractiveness_correlated,
     make_instance,
     max_weight_antichain,
     solve_capacitated_attcorr,
     solve_capacitated_tree,
     solve_japtlm,
+    solve_japtlm_k,
+    quasi_same_price_policy,
     threshold_dominance,
     validate_partial_order,
 )
+from luceopt.pricing import _best_shared_price
 
 MAX_N = 12
 
@@ -240,3 +250,86 @@ def test_attcorr_solver_matches_enumeration(prob):
 def test_joint_pricing_invariants_hold(utilities, t, a0):
     inst = PricedInstance(tuple(sorted(utilities, reverse=True)), t, a0)
     assert check_pricing_invariants(solve_japtlm(inst), inst).all_pass
+
+
+@st.composite
+def priced_instances(draw, max_n):
+    """Sorted utilities, rounded to 0.1 in half the draws so that runs of
+    equal utilities occur, with ``t`` in [0.1, 5] and ``a0`` in [0.5, 100]."""
+    utilities = draw(st.lists(st.floats(-3.0, 5.0), min_size=1, max_size=max_n))
+    if draw(st.booleans()):
+        utilities = [round(x, 1) for x in utilities]
+    return PricedInstance(tuple(sorted(utilities, reverse=True)),
+                          draw(st.floats(0.1, 5.0)), draw(st.floats(0.5, 100.0)))
+
+
+def scan_japtlm_k(inst, k):
+    """Every boundary pair ``(k1, k2)`` in order, the best feasible one kept
+    (a later pair must win by 1e-10); runs of equal utilities are never
+    split.  ``None`` when no pair is feasible."""
+    u = inst.utilities
+    if u[0] - u[k - 1] <= math.log1p(inst.t) * (1.0 + 1e-12):
+        return solve_japtlm_k(inst, k)  # slack: no boundary groups
+    best = None
+    for k1 in range(1, k):
+        if u[k1 - 1] == u[k1]:
+            continue
+        for k2 in range(1, k - k1 + 1):
+            if u[k - k2 - 1] == u[k - k2]:
+                continue
+            cand = japtlm_candidate(inst, k, k1, k2)
+            if cand.feasible and (best is None or cand.revenue > best.revenue + 1e-10):
+                best = cand
+    if best is None:
+        return None
+    return PricingSolution(k, best.prices, best.revenue, best.k1, best.k2, "boundary-tight")
+
+
+@given(priced_instances(max_n=25))
+def test_joint_pricing_matches_the_exhaustive_pair_scan(inst):
+    for k in range(1, inst.n + 1):
+        want = scan_japtlm_k(inst, k)
+        if want is None:
+            with pytest.raises(NoFeasibleCandidate):
+                solve_japtlm_k(inst, k)
+        else:
+            assert solve_japtlm_k(inst, k) == want
+
+
+@given(priced_instances(max_n=10), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+def test_quasi_shared_price_is_the_bounded_optimum(inst, fractions):
+    """For a last price ``p_k``, the closed-form shared price earns at least
+    what a bounded search over the dominance band finds."""
+    u, log1pt, a0 = inst.utilities, math.log1p(inst.t), inst.a0
+    for k in range(2, inst.n + 1):
+        if u[0] - u[k - 2] > log1pt:
+            break
+        group_att = sum(math.exp(x) for x in u[: k - 1])
+        for p_k in (f * (u[k - 1] + 20.0) for f in fractions):
+            b = math.exp(u[k - 1] - p_k)
+            # Neither the top product nor product k may dominate the other.
+            lo = max(0.0, p_k + u[0] - u[k - 1] - log1pt)
+            hi = min(u[0] + 20.0, p_k + u[k - 2] - u[k - 1] + log1pt)
+            if hi < lo:
+                continue
+
+            def revenue(p):
+                g = group_att * math.exp(-p)
+                return (p * g + p_k * b) / (g + b + a0)
+
+            search = max(revenue(lo), revenue(hi))
+            if hi > lo:
+                res = minimize_scalar(lambda p: -revenue(p), bounds=(lo, hi),
+                                      method="bounded", options={"xatol": 1e-12})
+                search = max(search, revenue(float(res.x)))
+            p = _best_shared_price(group_att, b, p_k, a0, lo, hi)
+            assert lo <= p <= hi
+            assert revenue(p) >= search - 1e-12 * max(1.0, search)
+
+
+@settings(max_examples=50)
+@given(priced_instances(max_n=10))
+def test_policies_are_ordered(inst):
+    fixed = fixed_price_policy(inst).revenue
+    quasi = quasi_same_price_policy(inst).revenue
+    assert fixed <= quasi <= solve_japtlm(inst).revenue * (1.0 + 1e-9)
