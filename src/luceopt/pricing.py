@@ -70,11 +70,9 @@ __all__ = [
 _FEAS_TOL = 1e-9
 # Revenue margin by which a later boundary candidate must win to replace one.
 _TIE_TOL = 1e-10
-# Half-width of the utility window around the water-filling root inside
-# which group boundaries are confirmed pair by pair.  The checks let a
-# utility sit up to _FEAS_TOL on the wrong side of a boundary, so a pair
-# that passes them has its own level within about _FEAS_TOL of the root;
-# the window is 100 times wider so that no such pair is missed.
+# Least half-width of the utility window around the water-filling root
+# inside which group boundaries are confirmed pair by pair (see
+# solve_japtlm_k for the width that covers every pair passing the checks).
 _ROOT_WINDOW = 1e-7
 # Relative widening of the dominance band ln(1 + t): an attractiveness
 # ratio of exactly 1 + t, as computed in floats, counts as undominated.
@@ -85,6 +83,7 @@ _MAX_EXP_ARG = 700.0
 # From about 3.7e302 on, lambert_w's first Halley step overflows and the
 # result is wrong (1% off at 1e303, NaN from 1e307).
 _MAX_LAMBERT_ARG = 3e302
+_LOG_MAX_LAMBERT_ARG = math.log(_MAX_LAMBERT_ARG)
 
 
 def lambert_w(x: float) -> float:
@@ -316,8 +315,9 @@ def solve_japtlm_k(inst: PricedInstance, k: int) -> PricingSolution:
     candidate checks only if its groups are the top ``{u_i >= c}`` and
     bottom ``{u_i <= c - L}`` of the water-filling root ``c`` (module
     docstring), found by :func:`_water_level` in O(k) time.  Only the pairs
-    whose boundaries fall within ``_ROOT_WINDOW`` of ``c`` and ``c - L``
-    are built with :func:`japtlm_candidate` and checked, in the order of
+    whose boundaries fall within ``max(_ROOT_WINDOW, 2 (k + 2) _FEAS_TOL)``
+    of ``c`` and ``c - L`` (wide enough for every pair the checks pass) are
+    built with :func:`japtlm_candidate` and checked, in the order of
     the exhaustive scan over ``(k1, k2)``, keeping the best feasible one
     (ties prefer smaller ``k1`` then ``k2``), so the answer equals that
     scan's.  Pairs that would split a run of equal utilities are skipped:
@@ -342,7 +342,14 @@ def solve_japtlm_k(inst: PricedInstance, k: int) -> PricingSolution:
 
     neg = [-x for x in u[:k]]  # ascending, for bisect
     c = _water_level(u, neg, inst.t, log1pt)
-    d = _ROOT_WINDOW
+    # The checks let a utility sit up to _FEAS_TOL on the wrong side of a
+    # boundary.  Each such utility moves phi at a pair's own level c' by at
+    # most (1 + t) _FEAS_TOL, and phi falls with slope at least 1 + t (at
+    # least 1 within _FEAS_TOL above u_1), so a pair that passes has
+    # |c' - c| <= (1 + m) _FEAS_TOL, where m <= 2k counts the utilities within
+    # _FEAS_TOL of c' or c' - L, and its boundaries lie a further _FEAS_TOL
+    # away.  Two more _FEAS_TOL absorb rounding.
+    d = max(_ROOT_WINDOW, 2 * (k + 2) * _FEAS_TOL)
     # Top groups end between the last u_i > c + d and the last u_i >= c - d;
     # bottom groups start between the first u_i <= c - L + d and the first
     # u_i < c - L - d.
@@ -427,12 +434,15 @@ def _best_shared_price(
     """
     outside = b + a0
     shift = p_k * b / outside
-    x = group_att / outside * math.exp(-1.0 - shift)
-    if x <= _MAX_LAMBERT_ARG:
-        w = lambert_w(x)
+    # ln of W's argument.  The outer search also tries p_k < 0 (when
+    # u_k < -20), and then, with b >> a0, e^(-1 - B/A) can pass lambert_w's
+    # range or overflow although the instance is valid: u = (0, -700),
+    # t = e^10 - 1, a0 = e^-650 puts the argument at e^699.
+    y = math.log(group_att) - math.log(outside) - 1.0 - shift if group_att > 0 else -math.inf
+    if y <= _LOG_MAX_LAMBERT_ARG:
+        w = lambert_w(math.exp(y))
     else:
-        # W(e^y) beyond lambert_w's range: Newton on w + ln(w) = y.
-        y = math.log(group_att) - math.log(outside) - 1.0 - shift
+        # W(e^y) solves w + ln(w) = y; Newton from y - ln(y).
         w = y - math.log(y)
         for _ in range(50):
             step = (w + math.log(w) - y) * w / (w + 1.0)

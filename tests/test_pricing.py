@@ -288,6 +288,31 @@ class TestQuasiSamePrice:
             assert quasi.revenue == pytest.approx(target, abs=1e-3)
 
 
+    @pytest.mark.parametrize("u, t, a0", [
+        ((0.0, -700.0), math.exp(10.0) - 1.0, math.exp(-650.0)),
+        ((0.0, -710.0), math.exp(10.0) - 1.0, math.exp(-650.0)),
+        ((0.0, -800.0), 1.0, 1e-300),
+    ])
+    def test_negative_last_price_with_tiny_outside_option(self, u, t, a0):
+        # u_k < -20 makes the outer search try p_k < 0; with b >> a0 the
+        # shared-price argument to W then passes lambert_w's range (first
+        # two) or e^(-1 - B/A) alone overflows (third).  Only the single
+        # shared price is worth offering.
+        inst = PricedInstance(u, t, a0)
+        assert quasi_same_price_policy(inst) == fixed_price_policy(inst)
+
+    def test_shared_price_beyond_the_lambert_range(self):
+        # The first case above at p_k = u_2 + 20: ln of W's argument is 699,
+        # and the peak lies inside the band [10, 20].
+        group_att, p_k, a0 = 1.0, -680.0, math.exp(-650.0)
+        b = math.exp(-700.0 - p_k)
+        outside, base = b + a0, p_k * b
+        p = pricing._best_shared_price(group_att, b, p_k, a0, 10.0, 20.0)
+        assert 10.0 < p < 20.0
+        # Stationarity of (p G e^-p + B) / (G e^-p + A): G e^-p = A (p - 1) - B.
+        assert group_att * math.exp(-p) == pytest.approx(outside * (p - 1.0) - base, rel=1e-12)
+
+
 class TestInvariantChecker:
     def test_flags_increasing_prices(self, fixed_price_num):
         from luceopt import PricingSolution

@@ -34,6 +34,7 @@ from luceopt import (
     threshold_dominance,
     validate_partial_order,
 )
+from luceopt import pricing
 from luceopt.pricing import _best_shared_price
 
 MAX_N = 12
@@ -294,6 +295,34 @@ def test_joint_pricing_matches_the_exhaustive_pair_scan(inst):
                 solve_japtlm_k(inst, k)
         else:
             assert solve_japtlm_k(inst, k) == want
+
+
+def test_root_window_covers_a_wide_near_tie_cluster(monkeypatch):
+    """130 distinct utilities just inside the top group's slack, ``_FEAS_TOL``
+    below that pair's own level, pull its level ~1.2e-7 below the root: a
+    pair the checks pass although its boundary lies outside a fixed 1e-7
+    window.  Every pair the scan could keep must be built."""
+    t, m, delta = 10.0, 130, 1e-9
+    cluster = [1.0 - delta * (0.99 - 0.02 * j / m) for j in range(m)]
+    low = -3.0
+    top = 1.0 + (1.0 - low - math.log1p(t) + (1.0 + t) * sum(1.0 - x for x in cluster)) / (1.0 + t)
+    inst = PricedInstance(tuple([top] + sorted(cluster, reverse=True) + [low]), t, 1.0)
+    k = inst.n
+    far, root = japtlm_candidate(inst, k, m + 1, 1), japtlm_candidate(inst, k, 1, 1)
+    assert far.feasible and root.feasible
+    assert root.c1 - far.c1 > 1e-7
+    built = set()
+    real = pricing.japtlm_candidate
+
+    def recording(inst_, k_, k1, k2):
+        built.add((k1, k2))
+        return real(inst_, k_, k1, k2)
+
+    monkeypatch.setattr(pricing, "japtlm_candidate", recording)
+    sol = solve_japtlm_k(inst, k)
+    assert {(1, 1), (m + 1, 1)} <= built
+    monkeypatch.undo()
+    assert sol == scan_japtlm_k(inst, k)
 
 
 @given(priced_instances(max_n=10), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
