@@ -3,9 +3,11 @@
 These deliberately share no code path with the polynomial algorithms: the
 antichain and assortment oracles enumerate raw subsets with vectorized bit
 tricks (one chunked enumerator, reading the relation's dominator masks), and
-the pricing oracle walks a dense grid of net utilities followed by a local
-pattern-search refinement.  Property tests and the ``verify`` CLI command
-compare solver output against these.
+the pricing oracle scores every point of a dense grid of net utilities that
+lies in the dominance band around the diagonal (built per x0 row as a
+window, in fixed-size blocks) and then polishes the best one with a local
+pattern search.  Property tests and the ``verify`` CLI command compare
+solver output against these.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = ["OracleResult", "brute_force_antichain", "brute_force_assortment",
 
 _MAX_N = 22
 _MAX_PRICING_K = 3
+_BLOCK = 1 << 16  # grid points scored at once by the pricing oracle
 
 
 @dataclass(frozen=True)
@@ -59,12 +62,25 @@ def _best_subset(
         top = float(value.max())
         if top < best_value:
             continue
-        for m in masks[value == top]:
-            cand = tuple(mask_ids(int(m)))
-            if top > best_value or (top == best_value and cand < best_subset):
-                best_value = top
-                best_subset = cand
+        cand = tuple(mask_ids(_lex_smallest(masks[value == top])))
+        if top > best_value or cand < best_subset:
+            best_value = top
+            best_subset = cand
     return best_value, best_subset, evaluations
+
+
+def _lex_smallest(masks: np.ndarray) -> int:
+    """The distinct mask whose sorted member tuple is lexicographically
+    smallest: keep the masks with the smallest lowest member, clear that
+    member, and repeat; a mask cleared to 0 is a prefix of the rest."""
+    rest = masks
+    while len(masks) > 1:
+        if (rest == 0).any():
+            return int(masks[rest == 0][0])
+        low = rest & -rest
+        keep = low == low.min()
+        masks, rest = masks[keep], (rest ^ low)[keep]
+    return int(masks[0])
 
 
 def brute_force_antichain(poset: WeightedPoset) -> tuple[frozenset[int], float]:
@@ -144,11 +160,17 @@ def numeric_pricing_oracle(inst: PricedInstance, k: int) -> OracleResult:
     The grid lives in net-utility space (``v_i = u_i - p_i`` on a shared
     grid over ``[-10, u_i]``), which aligns the axes so that uniform-net
     points are always on the grid and the feasible band around the diagonal
-    is never missed.  Grid points where some product would be dominated are
-    discarded; the best survivor is polished by a pattern search (single
-    and joint coordinate moves, step halving down to 1e-6).
+    is never missed.  A grid point is feasible when no product dominates
+    another, i.e. its spread ``max v - min v`` is at most ``ln(1+t)``.
+    Only the band window of each x0 row is built (see
+    :func:`_band_grid_best`), in blocks of at most ``_BLOCK`` points, and
+    the first best feasible point in row-major order is polished by a
+    pattern search (single and joint coordinate moves, step halving down
+    to 1e-6).
 
-    The optimizer is returned as a price vector.  Guarded at k <= 3.
+    The optimizer is returned as a price vector.  ``evaluations`` counts
+    the window points scored plus the pattern-search moves; the grid
+    points outside the window are never built.  Guarded at k <= 3.
     """
     if k > _MAX_PRICING_K:
         raise TooLarge(f"pricing oracle capped at k={_MAX_PRICING_K}, got {k}")
@@ -168,36 +190,13 @@ def numeric_pricing_oracle(inst: PricedInstance, k: int) -> OracleResult:
         att = np.exp(v)
         return float(((u - v) * att).sum() / (att.sum() + a0))
 
-    evaluations = 0
     best_v = np.full(k, min(0.0, float(u.min())))  # uniform nets: always feasible
     best_val = revenue_of(best_v)
 
-    # Stage 1: dense grid, chunked along the first axis.
-    axes = [grid[grid <= u[i]] for i in range(k)]
-    for x0 in axes[0]:
-        if k == 1:
-            pts = np.array([[x0]])
-        elif k == 2:
-            pts = np.column_stack(
-                [np.full(len(axes[1]), x0), axes[1]]
-            )
-        else:
-            g1, g2 = np.meshgrid(axes[1], axes[2], indexing="ij")
-            pts = np.column_stack(
-                [np.full(g1.size, x0), g1.ravel(), g2.ravel()]
-            )
-        spread = pts.max(axis=1) - pts.min(axis=1)
-        feasible = spread <= band
-        evaluations += len(pts)
-        if not feasible.any():
-            continue
-        pts = pts[feasible]
-        att = np.exp(pts)
-        vals = ((u - pts) * att).sum(axis=1) / (att.sum(axis=1) + a0)
-        j = int(vals.argmax())
-        if vals[j] > best_val:
-            best_val = float(vals[j])
-            best_v = pts[j].copy()
+    # Stage 1: the best grid point, if it beats the uniform nets.
+    val, v, evaluations = _band_grid_best(u, grid, band, a0)
+    if val > best_val:
+        best_val, best_v = val, v
 
     # Stage 2: pattern search from the best grid point.  Joint moves matter
     # because the feasible region is a band around the diagonal.
@@ -228,3 +227,55 @@ def numeric_pricing_oracle(inst: PricedInstance, k: int) -> OracleResult:
             h /= 2.0
     prices = tuple(float(ui - vi) for ui, vi in zip(u, best_v))
     return OracleResult(best_val, prices, evaluations)
+
+
+def _band_grid_best(
+    u: np.ndarray, grid: np.ndarray, band: float, a0: float
+) -> tuple[float, np.ndarray | None, int]:
+    """First best feasible point of the grid ``axes[q] = grid[grid <= u[q]]``
+    in row-major order, its revenue (``-inf`` and ``None`` when there is
+    none) and the number of points scored.
+
+    A point is feasible when its spread ``max - min`` is at most ``band``,
+    so along each later axis only the slice within ``band + 1e-9`` of the
+    point's ``x0`` can qualify; ``searchsorted`` finds those slices and
+    only their product (the window) is built and tested exactly.  Whole x0
+    rows go in blocks of at most ``_BLOCK`` window points, and each block
+    is scored column by column.
+    """
+    k = len(u)
+    axes = [grid[grid <= ui] for ui in u]
+    x0 = axes[0]
+    starts = [np.searchsorted(a, x0 - band - 1e-9, "left") for a in axes[1:]]
+    widths = [np.searchsorted(a, x0 + band + 1e-9, "right") - s
+              for a, s in zip(axes[1:], starts)]
+    counts = np.ones(len(x0), dtype=np.int64)
+    for w in widths:
+        counts *= w
+    ends = np.cumsum(counts)
+    best_val, best_v, evaluations = -math.inf, None, 0
+    r = 0
+    while r < len(x0):
+        stop = max(r + 1, int(np.searchsorted(ends, ends[r] - counts[r] + _BLOCK, "right")))
+        c = counts[r:stop]
+        total = int(c.sum())
+        evaluations += total
+        row = np.repeat(np.arange(r, stop), c)
+        r = stop
+        if total == 0:
+            continue
+        offset = np.arange(total) - np.repeat(np.cumsum(c) - c, c)
+        cols = [x0[row]]
+        for q in range(k - 1, 0, -1):  # the last axis varies fastest
+            w = widths[q - 1][row]
+            cols.insert(1, axes[q][starts[q - 1][row] + offset % w])
+            offset //= w
+        spread = np.maximum.reduce(cols) - np.minimum.reduce(cols)
+        att = [np.exp(x) for x in cols]
+        num = sum((uq - x) * a for uq, x, a in zip(u, cols, att))
+        vals = np.where(spread <= band, num / (sum(att) + a0), -np.inf)
+        j = int(vals.argmax())
+        if vals[j] > best_val:  # strict: the first maximum wins
+            best_val = float(vals[j])
+            best_v = np.array([x[j] for x in cols])
+    return best_val, best_v, evaluations

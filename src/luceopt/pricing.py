@@ -42,6 +42,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
+import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import (
@@ -409,10 +410,13 @@ def _maximize_scalar(f, lo: float, hi: float) -> tuple[float, float]:
     if val_hi > best_val:
         best_x, best_val = hi, val_hi
     if hi - lo > 1e-12:
-        res = minimize_scalar(
-            lambda x: -f(x), bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-9},
-        )
+        # An infeasible x scores -inf; Brent's parabolic step through it is
+        # NaN (a warning), and the method then takes a golden-section step.
+        with np.errstate(invalid="ignore"):
+            res = minimize_scalar(
+                lambda x: -f(x), bounds=(lo, hi), method="bounded",
+                options={"xatol": 1e-9},
+            )
         val = f(float(res.x))
         if val > best_val:
             best_x, best_val = float(res.x), val
@@ -497,9 +501,11 @@ def quasi_same_price_policy(inst: PricedInstance) -> PricingSolution:
             _, val = inner(p_k)
             if val > outer_best:
                 outer_best_pk, outer_best = p_k, val
-        width = p_hi / 80.0
-        lo_r = max(0.0, outer_best_pk - width)
-        hi_r = min(p_hi, outer_best_pk + width)
+        # The grid runs from 0 to p_hi, which is below 0 when u_k < -20;
+        # keep the refinement window inside it.
+        width = abs(p_hi) / 80.0
+        lo_r = max(min(0.0, p_hi), outer_best_pk - width)
+        hi_r = min(max(0.0, p_hi), outer_best_pk + width)
         p_k, val = _maximize_scalar(lambda x: inner(x)[1], lo_r, hi_r)
         if val > best.revenue:
             p_shared, _ = inner(p_k)

@@ -228,6 +228,32 @@ class TestPriceCommand:
         assert values["fixed"] <= values["quasi"] + 1e-6
         assert values["quasi"] <= values["tlm-opt"] + 2e-6
 
+    # u_2 < -20 puts quasi's last-price grid below 0.  Its refinement
+    # window once left that grid and overflowed exp() (first case); the
+    # infeasible last prices inside it must not warn either (second).
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("u2, t, a0", [
+        (-1e6, 0.5, 1.0),
+        (-700.0, math.exp(10.0) - 1.0, math.exp(-650.0)),
+    ])
+    def test_quasi_answers_a_last_utility_far_below_the_grid(self, capsys, tmp_path,
+                                                             u2, t, a0):
+        doc = {
+            "products": [{"id": i, "revenue": 1.0, "attractiveness": 1.0, "utility": u}
+                         for i, u in ((1, 0.0), (2, u2))],
+            "a0": a0,
+            "dominance": {"type": "threshold", "t": t},
+        }
+        path = tmp_path / "far_below.json"
+        path.write_text(json.dumps(doc))
+        revenue = {}
+        for policy in ("fixed", "quasi"):
+            code, out, err = run(capsys, ["price", "--instance", str(path),
+                                          "--policy", policy])
+            assert code == 0 and err == ""
+            revenue[policy] = json.loads(out)["revenue"]
+        assert revenue["quasi"] >= revenue["fixed"]
+
     def test_zero_outside_option_is_exit_2(self, capsys, tmp_path):
         doc = {
             "products": [{"id": 1, "revenue": 1.0, "attractiveness": 2.7,

@@ -107,3 +107,16 @@ class TestNumericPricingOracle:
         inst = random_priced_instance(0, n=4, t=1.0, a0=1.0, seed=89)
         with pytest.raises(TooLarge):
             numeric_pricing_oracle(inst, 4)
+
+    @pytest.mark.parametrize("u", [(8.0, 7.5), (8.0, 7.5, 7.0)])
+    def test_pricing_oracle_scores_only_the_band(self, u):
+        # Counts instead of timing: a return to the full grid scores 3.2M
+        # (k = 2) or 5.4M (k = 3) points, several times this bound.
+        inst = PricedInstance(u, 5.0, 1.0)
+        k = len(u)
+        step = 0.01 if k <= 2 else 0.1
+        axis = [round((x + 10.0) / step) + 1 for x in u]
+        window = axis[0] * (2.0 * math.log1p(inst.t) / step + 3.0) ** (k - 1)
+        moves = 1000  # the pattern search makes a few hundred here
+        assert math.prod(axis) > 4 * (window + moves)
+        assert numeric_pricing_oracle(inst, k).evaluations <= window + moves

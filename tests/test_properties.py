@@ -3,7 +3,9 @@ random inputs, each checked against a short definitional reference written
 here or a brute-force oracle."""
 
 import math
+from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,7 @@ from luceopt import (
     is_attractiveness_correlated,
     make_instance,
     max_weight_antichain,
+    numeric_pricing_oracle,
     solve_capacitated_attcorr,
     solve_capacitated_tree,
     solve_japtlm,
@@ -34,7 +37,8 @@ from luceopt import (
     threshold_dominance,
     validate_partial_order,
 )
-from luceopt import pricing
+from luceopt import oracles, pricing
+from luceopt.model import mask_ids
 from luceopt.pricing import _best_shared_price
 
 MAX_N = 12
@@ -362,3 +366,58 @@ def test_policies_are_ordered(inst):
     fixed = fixed_price_policy(inst).revenue
     quasi = quasi_same_price_policy(inst).revenue
     assert fixed <= quasi <= solve_japtlm(inst).revenue * (1.0 + 1e-9)
+
+
+@given(st.lists(st.integers(0, (1 << 12) - 1), min_size=1, unique=True))
+def test_tied_masks_resolve_to_the_lexicographically_smallest_subset(masks):
+    got = oracles._lex_smallest(np.array(masks, dtype=np.int64))
+    assert tuple(mask_ids(got)) == min(tuple(mask_ids(m)) for m in masks)
+
+
+def full_grid_best(u, grid, band, a0):
+    """Every point of the grid ``grid[grid <= u[q]]`` per axis, built one x0
+    row at a time; the first best feasible point in row-major order."""
+    axes = [grid[grid <= x] for x in u]
+    best_val, best_v = -math.inf, None
+    for x0 in axes[0]:
+        rest = [g.ravel() for g in np.meshgrid(*axes[1:], indexing="ij")]
+        pts = np.column_stack([np.full(rest[0].size if rest else 1, x0)] + rest)
+        feasible = pts.max(axis=1) - pts.min(axis=1) <= band
+        if not feasible.any():
+            continue
+        pts = pts[feasible]
+        att = np.exp(pts)
+        vals = ((u - pts) * att).sum(axis=1) / (att.sum(axis=1) + a0)
+        j = int(vals.argmax())
+        if vals[j] > best_val:
+            best_val, best_v = float(vals[j]), pts[j].copy()
+    return best_val, best_v, 0
+
+
+@st.composite
+def oracle_instances(draw):
+    """``(inst, k)`` for the pricing oracle: k <= 3 utilities below a top in
+    [-12, 4] (under the grid floor of -10 some axes are empty), within a
+    span of 3 at k = 3, rounded to 0.1 in half the draws so that they tie,
+    with ``t`` down to 0.05."""
+    k = draw(st.integers(1, 3))
+    top = draw(st.one_of(st.floats(-12.0, 4.0), st.sampled_from([-10.0, 0.0])))
+    gaps = st.floats(0.0, 1.5 if k == 3 else 6.0)
+    utilities = [top] + [top - g for g in draw(st.lists(gaps, min_size=k - 1, max_size=k - 1))]
+    if draw(st.booleans()):
+        utilities = [round(x, 1) for x in utilities]
+    t = draw(st.one_of(st.floats(0.05, 9.0), st.sampled_from([0.05, 1.0])))
+    inst = PricedInstance(tuple(sorted(utilities, reverse=True)), t, draw(st.floats(0.5, 100.0)))
+    return inst, k
+
+
+@settings(max_examples=60)
+@given(oracle_instances())
+def test_pricing_oracle_matches_the_full_grid(case):
+    """Scoring only the band window finds the same grid point as scoring the
+    whole grid, so the oracle's answer is unchanged to the last bit."""
+    inst, k = case
+    got = numeric_pricing_oracle(inst, k)
+    with patch.object(oracles, "_band_grid_best", full_grid_best):
+        want = numeric_pricing_oracle(inst, k)
+    assert (got.value, got.optimizer) == (want.value, want.optimizer)
