@@ -16,8 +16,9 @@ Each solver passes only ``(num, den, den0)`` and its oracle:
 * :func:`solve_assortment_gam`: ``(r v, v - w, v0 + sum(w))``, the same flow;
 * :func:`~luceopt.capacitated.solve_capacitated_tree`: ``(r a, a, a0)``,
   the forest DP over antichains of at most C products;
-* :func:`~luceopt.capacitated.solve_capacitated_mnl`: ``(r a, a, a0)``, the
-  at most C largest positive weights.
+* :func:`~luceopt.capacitated.solve_capacitated_mnl` and
+  :func:`~luceopt.capacitated.solve_capacitated_attcorr`: ``(r a, a, a0)``,
+  the best pool's top-C positive weights (the MNL has one pool).
 
 The revenue-ordered baseline (optimal for the plain MNL, suboptimal once
 dominance enters) is included for benchmarking.

@@ -2,32 +2,32 @@
 
 With a cardinality cap the problem is NP-hard in general, so this module
 offers an exact enumerator (guarded) plus polynomial algorithms for the two
-tractable structures:
+tractable structures, each one fractional program (``assortment._fractional``):
 
-* dominance whose transitive reduction is a forest: a two-level dynamic
-  program over the tree computes the best antichain of each size, and the
-  Dinkelbach driver turns that into the fractional optimum;
+* dominance whose transitive reduction is a forest: the oracle is a tree DP
+  for the best antichain of at most C products;
 * attractiveness-correlated dominance (dominance implies higher
   attractiveness, and anything more attractive than a dominator also
-  dominates): fixing the most attractive offered product k reduces the
-  search to a dominance-free pool X_k, i.e. one capacitated MNL problem
-  per k.
+  dominates): every antichain lies in the dominance-free pool X_k of its
+  most attractive member k, and the oracle over the union of the pools
+  takes the best pool's top C positive weights, as for the plain MNL.
 
-``solve_capacitated_auto`` dispatches in that order and refuses large
+``solve_capacitated_auto`` tries them in that order and refuses large
 unstructured instances instead of silently approximating.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_left
+from contextlib import suppress
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 from .assortment import AssortmentSolution, DEFAULT_EPS, _check_finite, _fractional
 from .errors import NotAttractivenessCorrelated, NotATree, ProblemTooLarge, TooLarge
-from .model import DominanceRelation, Instance, _by_decreasing
+from .model import DominanceRelation, Instance, _by_decreasing, mask_ids
 
 __all__ = [
     "CapacitatedProblem",
@@ -64,9 +64,7 @@ def solve_capacitated_bruteforce(prob: CapacitatedProblem) -> AssortmentSolution
 
     inst = prob.instance
     if inst.n > BRUTE_FORCE_MAX_N:
-        raise TooLarge(
-            f"brute force capped at n={BRUTE_FORCE_MAX_N}, got {inst.n}"
-        )
+        raise TooLarge(f"brute force capped at n={BRUTE_FORCE_MAX_N}, got {inst.n}")
     _check_finite([p.revenue * p.attractiveness for p in inst.products])
     result = brute_force_assortment(inst, capacity=prob.capacity, antichains_only=True)
     return AssortmentSolution(tuple(result.optimizer), result.value, 1, 0.0)
@@ -200,8 +198,7 @@ def solve_capacitated_tree(
 ) -> AssortmentSolution:
     """Fractional driver over the tree DP (forest-reducible dominance)."""
     inst = prob.instance
-    ok, _ = is_forest_reducible(inst.dominance)
-    if not ok:
+    if not is_forest_reducible(inst.dominance)[0]:
         raise NotATree("dominance reduction is not a forest")
     return _fractional(
         [p.revenue * p.attractiveness for p in inst.products],
@@ -244,32 +241,38 @@ def is_attractiveness_correlated(inst: Instance) -> bool:
     return True
 
 
+def _best_in_pools(pools: Sequence[int], capacity: int,
+                   weights: list[float]) -> tuple[frozenset[int], float]:
+    """Max-weight set over the union of dominance-free ``pools`` (product
+    masks): each pool's at most ``capacity`` largest strictly positive
+    weights (ties to the smaller position), the first largest total winning."""
+    order = sorted((i for i, w in enumerate(weights) if w > 0.0),
+                   key=weights.__getitem__, reverse=True)
+    best, best_value = [], 0.0
+    for pool in pools:
+        chosen = list(islice((i for i in order if pool >> i & 1), capacity))
+        value = sum(weights[i] for i in chosen)
+        if value > best_value:
+            best, best_value = chosen, value
+    return frozenset(i + 1 for i in best), best_value
+
+
 def solve_capacitated_mnl(
     products: Sequence[tuple[float, float]],
     a0: float,
     capacity: int,
     eps: float = DEFAULT_EPS,
 ) -> AssortmentSolution:
-    """Capacitated assortment under the plain MNL (no dominance).
-
-    Dinkelbach again: for a guess ``lam`` the subproblem just keeps the at
-    most ``capacity`` largest strictly positive values of
-    ``r_i a_i - lam a_i``.  Positions in ``products`` are reported 1-based.
-    """
+    """Capacitated assortment under the plain MNL (no dominance): each
+    Dinkelbach step keeps the at most ``capacity`` largest strictly positive
+    ``r_i a_i - lam a_i`` (one pool of every product).  Positions in
+    ``products`` are reported 1-based."""
     if capacity < 1:
         raise ValueError(f"capacity must be >= 1, got {capacity}")
     return _fractional(
         [r * a for r, a in products], [a for _, a in products], a0,
-        lambda w: _top_positive(w, capacity), eps,
+        lambda w: _best_in_pools([(1 << len(products)) - 1], capacity, w), eps,
     )
-
-
-def _top_positive(weights: Sequence[float], capacity: int) -> tuple[frozenset[int], float]:
-    """The at most ``capacity`` largest strictly positive weights (ties to
-    the smaller position, 1-based) and their sum."""
-    top = heapq.nlargest(capacity, range(len(weights)), key=weights.__getitem__)
-    chosen = [i for i in top if weights[i] > 0.0]
-    return frozenset(i + 1 for i in chosen), sum(weights[i] for i in chosen)
 
 
 def solve_capacitated_attcorr(
@@ -277,14 +280,15 @@ def solve_capacitated_attcorr(
 ) -> AssortmentSolution:
     """Capacitated optimum for attractiveness-correlated instances.
 
-    For each product k, the pool ``X_k = {i : a_i <= a_k and k does not
-    dominate i}`` contains every assortment whose most attractive member is
-    k; correlation makes X_k dominance-free, so each pool is one
-    capacitated MNL solve and the best pool wins (smallest k on ties).
+    The pool ``X_k = {i : a_i <= a_k and k does not dominate i}`` holds
+    every assortment whose most attractive member is ``k``, and correlation
+    makes it dominance-free.  The feasible sets are the union of the pools,
+    so one fractional program runs over them: its oracle takes each pool's
+    top C positive weights, and the best pool wins (smallest k on ties).
 
-    Exact ties in attractiveness can leave dominance edges inside a pool
-    (the reduction's tie-break gap); such instances fall back to brute
-    force when small enough and are refused otherwise.
+    Exact ties in attractiveness can leave dominance inside a pool; such
+    instances fall back to brute force when small enough and are refused
+    otherwise.
     """
     inst = prob.instance
     if not is_attractiveness_correlated(inst):
@@ -292,51 +296,39 @@ def solve_capacitated_attcorr(
             "instance fails the attractiveness-correlation conditions"
         )
     att = [p.attractiveness for p in inst.products]
-    rel = inst.dominance
-
-    pools: list[list[int]] = []
-    for k in inst.ids:
-        pool = [
-            i
-            for i in inst.ids
-            if att[i - 1] <= att[k - 1] and not rel.dominates(k, i)
-        ]
-        if not rel.is_antichain(pool):
-            if inst.n <= BRUTE_FORCE_MAX_N:
-                return solve_capacitated_bruteforce(prob)
-            raise TooLarge(
-                "attractiveness ties leave dominance inside a candidate pool; "
-                f"exact fallback capped at n={BRUTE_FORCE_MAX_N}"
-            )
-        pools.append(pool)
-
-    best: AssortmentSolution | None = None
-    best_ids: tuple[int, ...] = ()
-    for k, pool in zip(inst.ids, pools):
-        sub = [(inst.revenue(i), inst.attractiveness(i)) for i in pool]
-        sol = solve_capacitated_mnl(sub, inst.a0, prob.capacity, eps)
-        ids = tuple(sorted(pool[j - 1] for j in sol.assortment))
-        if best is None or sol.revenue > best.revenue:
-            best = sol
-            best_ids = ids
-    assert best is not None
-    return AssortmentSolution(best_ids, best.revenue, best.iterations, best.certificate_gap)
+    dominators = inst.dominance.dominators
+    _, prefix, negated = _by_decreasing(att)
+    # X_k: the products no more attractive than k, minus those k dominates.
+    pools = [prefix[-1] & ~prefix[bisect_left(negated, -a)] for a in att]
+    for i, dom in enumerate(dominators):
+        keep = ~(1 << i)
+        for k in mask_ids(dom):
+            pools[k - 1] &= keep
+    if any(dominators[i - 1] & pool for pool in pools for i in mask_ids(pool)):
+        if inst.n <= BRUTE_FORCE_MAX_N:
+            return solve_capacitated_bruteforce(prob)
+        raise TooLarge(
+            "attractiveness ties leave dominance inside a candidate pool; "
+            f"exact fallback capped at n={BRUTE_FORCE_MAX_N}"
+        )
+    return _fractional(
+        [p.revenue * p.attractiveness for p in inst.products], att, inst.a0,
+        lambda w: _best_in_pools(pools, prob.capacity, w), eps,
+    )
 
 
 def solve_capacitated_auto(
     prob: CapacitatedProblem, eps: float = DEFAULT_EPS
 ) -> tuple[AssortmentSolution, str]:
-    """Dispatch: forest DP, then attractiveness-correlated, then brute
-    force, else refuse (the general problem is NP-hard, so no inexact
-    fallback is offered).  Returns the solution and the method name."""
-    inst = prob.instance
-    ok, _ = is_forest_reducible(inst.dominance)
-    if ok:
+    """Try the forest DP, then attractiveness correlation, then brute force,
+    else refuse (the problem is NP-hard, so there is no inexact fallback).
+    Each solver checks its own structure.  Returns the solution and method."""
+    with suppress(NotATree):
         return solve_capacitated_tree(prob, eps), "tree"
-    if is_attractiveness_correlated(inst):
+    with suppress(NotAttractivenessCorrelated):
         return solve_capacitated_attcorr(prob, eps), "attcorr"
-    if inst.n <= BRUTE_FORCE_MAX_N:
+    if prob.instance.n <= BRUTE_FORCE_MAX_N:
         return solve_capacitated_bruteforce(prob), "bruteforce"
     raise ProblemTooLarge(
-        f"no exact method for unstructured capacitated instances with n={inst.n}"
+        f"no exact method for unstructured capacitated instances with n={prob.instance.n}"
     )

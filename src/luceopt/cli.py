@@ -85,8 +85,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _solve_capacitated(inst, capacity: int, method: str, eps: float):
     prob = CapacitatedProblem(inst, capacity)
     if method == "auto":
-        sol, used = solve_capacitated_auto(prob, eps)
-        return sol, used
+        return solve_capacitated_auto(prob, eps)
     if method == "bruteforce":
         return solve_capacitated_bruteforce(prob), "bruteforce"
     if method == "tree":

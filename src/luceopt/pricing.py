@@ -38,6 +38,7 @@ last product priced separately, whose shared price has a closed form.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -85,6 +86,7 @@ _MAX_EXP_ARG = 700.0
 # result is wrong (1% off at 1e303, NaN from 1e307).
 _MAX_LAMBERT_ARG = 3e302
 _LOG_MAX_LAMBERT_ARG = math.log(_MAX_LAMBERT_ARG)
+_LOG_MAX_FLOAT = math.log(sys.float_info.max)
 
 
 def lambert_w(x: float) -> float:
@@ -113,6 +115,19 @@ def lambert_w(x: float) -> float:
         if new_w == w:
             break
         w = new_w
+    return w
+
+
+def _lambert_w_exp(y: float) -> float:
+    """``W(e^y)`` for any ``y``; past lambert_w's range, Newton on ``w + ln w = y``."""
+    if y <= _LOG_MAX_LAMBERT_ARG:
+        return lambert_w(math.exp(y))
+    w = y - math.log(y)
+    for _ in range(50):
+        step = (w + math.log(w) - y) * w / (w + 1.0)
+        w -= step
+        if abs(step) <= 1e-15 * w:
+            break
     return w
 
 
@@ -223,14 +238,18 @@ def japtlm_candidate(
     bottom = u[k - k2 : k]
     middle = u[k1 : k - k2]
 
-    c1 = ((1.0 + t) * sum(top) + sum(bottom) + k2 * log1pt) / (
-        k1 * (1.0 + t) + k2
-    ) - 1.0
-    if abs(c1) > _MAX_EXP_ARG:
-        raise LuceOptError(f"c1={c1} for k={k}, k1={k1}, k2={k2}; exp() would overflow")
-    ebar = sum(math.exp(ui) for ui in middle)
-    c2 = (k1 + k2 / (1.0 + t)) + ebar * math.exp(-c1 - 1.0)
-    revenue = lambert_w(c2 * math.exp(c1) / inst.a0)
+    # c1 as above, divided through by 1 + t so that a huge t cannot overflow.
+    c1 = (sum(top) + (sum(bottom) + k2 * log1pt) / (1.0 + t)) / (k1 + k2 / (1.0 + t)) - 1.0
+    if not math.isfinite(c1):
+        raise LuceOptError(f"c1={c1} for k={k}, k1={k1}, k2={k2}; overflows")
+    # ln(c2) as a log-sum-exp; the middle group's first utility is its largest.
+    log_c2 = math.log(k1 + k2 / (1.0 + t))
+    if middle:
+        m = middle[0]
+        mid = m + math.log(sum(math.exp(ui - m) for ui in middle)) - c1 - 1.0
+        log_c2 = max(log_c2, mid) + math.log1p(math.exp(-abs(log_c2 - mid)))
+    c2 = math.exp(log_c2) if log_c2 < _LOG_MAX_FLOAT else math.inf
+    revenue = _lambert_w_exp(log_c2 + c1 - math.log(inst.a0))
     u_s = c1 - revenue
 
     prices = tuple(
@@ -438,22 +457,11 @@ def _best_shared_price(
     """
     outside = b + a0
     shift = p_k * b / outside
-    # ln of W's argument.  The outer search also tries p_k < 0 (when
-    # u_k < -20), and then, with b >> a0, e^(-1 - B/A) can pass lambert_w's
-    # range or overflow although the instance is valid: u = (0, -700),
-    # t = e^10 - 1, a0 = e^-650 puts the argument at e^699.
+    # ln of W's argument: the outer search tries p_k < 0 when u_k < -20, and
+    # with b >> a0 the argument can overflow (u = (0, -700), t = e^10 - 1,
+    # a0 = e^-650 puts it at e^699).
     y = math.log(group_att) - math.log(outside) - 1.0 - shift if group_att > 0 else -math.inf
-    if y <= _LOG_MAX_LAMBERT_ARG:
-        w = lambert_w(math.exp(y))
-    else:
-        # W(e^y) solves w + ln(w) = y; Newton from y - ln(y).
-        w = y - math.log(y)
-        for _ in range(50):
-            step = (w + math.log(w) - y) * w / (w + 1.0)
-            w -= step
-            if abs(step) <= 1e-15 * w:
-                break
-    return min(max(1.0 + shift + w, lo), hi)
+    return min(max(1.0 + shift + _lambert_w_exp(y), lo), hi)
 
 
 def quasi_same_price_policy(inst: PricedInstance) -> PricingSolution:
@@ -475,8 +483,7 @@ def quasi_same_price_policy(inst: PricedInstance) -> PricingSolution:
     a0 = inst.a0
     log1pt = math.log1p(t)
 
-    fixed = fixed_price_policy(inst)
-    best = fixed
+    best = fixed_price_policy(inst)
 
     for k in range(2, inst.n + 1):
         if u[0] - u[k - 2] > log1pt * (1.0 + _BAND_RTOL):

@@ -1,6 +1,8 @@
 """Capacitated solvers: brute force, the tree DP, and the
 attractiveness-correlated decomposition."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from luceopt import (
     validate_partial_order,
 )
 from conftest import random_instance, threshold_instance_from
-from luceopt import generate_tree_instance
+from luceopt import capacitated, generate_tree_instance
 
 
 class TestBruteForce:
@@ -260,6 +262,38 @@ class TestDispatcherAndMonotonicity:
         inst = make_instance([1.0, 2.0, 3.0], [1.0, 2.0, 1.0], 1.0, rel)
         _, method = solve_capacitated_auto(CapacitatedProblem(inst, 2))
         assert method == "bruteforce"
+
+    def test_each_structure_is_checked_once(self, rev_ord_fail, figure_one):
+        with patch.object(capacitated, "is_attractiveness_correlated",
+                          wraps=capacitated.is_attractiveness_correlated) as check:
+            assert solve_capacitated_auto(CapacitatedProblem(figure_one, 2))[1] == "attcorr"
+            assert check.call_count == 1
+            check.reset_mock()
+            assert solve_capacitated_auto(CapacitatedProblem(rev_ord_fail, 2))[1] == "tree"
+            assert check.call_count == 0
+
+    @staticmethod
+    def tied_pool_instance(n):
+        # Products 1-3 tie at the top, 2 and 3 dominate 4 (not a forest),
+        # and n - 4 cheap products are undominated: still correlated, and
+        # the pool around product 1 holds 2 > 4.
+        rel = validate_partial_order({(2, 4), (3, 4)}, n)
+        return make_instance([1.0, 6.0, 6.0, 9.0] + [1.0] * (n - 4),
+                             [5.0, 5.0, 5.0, 1.0] + [0.5] * (n - 4), 1.0, rel)
+
+    def test_tied_pool_beyond_brute_force_is_refused(self):
+        inst = self.tied_pool_instance(23)
+        assert is_attractiveness_correlated(inst)
+        with pytest.raises(TooLarge):
+            solve_capacitated_attcorr(CapacitatedProblem(inst, 2))
+        with pytest.raises(TooLarge):
+            solve_capacitated_auto(CapacitatedProblem(inst, 2))
+
+    def test_tied_pool_takes_the_brute_force_fallback(self):
+        prob = CapacitatedProblem(self.tied_pool_instance(22), 2)
+        with patch.object(capacitated, "solve_capacitated_bruteforce") as exact:
+            assert solve_capacitated_attcorr(prob) is exact.return_value
+        exact.assert_called_once_with(prob)
 
     def test_revenue_non_decreasing_in_capacity(self):
         rng = np.random.default_rng(25)

@@ -254,6 +254,27 @@ class TestPriceCommand:
             revenue[policy] = json.loads(out)["revenue"]
         assert revenue["quasi"] >= revenue["fixed"]
 
+    # The only tight pair has c1 = -400000.8, so exp(c1) underflows: its W
+    # argument must be formed in logs for tlm-opt to answer where fixed does.
+    def test_tlm_opt_answers_where_fixed_does(self, capsys, tmp_path):
+        doc = {
+            "products": [{"id": i, "revenue": 1.0, "attractiveness": 1.0, "utility": u}
+                         for i, u in ((1, 0.0), (2, -1e6))],
+            "a0": 1.0,
+            "dominance": {"type": "threshold", "t": 0.5},
+        }
+        path = tmp_path / "far_below.json"
+        path.write_text(json.dumps(doc))
+        answers = {}
+        for policy in ("fixed", "tlm-opt"):
+            code, out, err = run(capsys, ["price", "--instance", str(path),
+                                          "--policy", policy])
+            assert code == 0 and err == ""
+            answers[policy] = json.loads(out)
+        assert answers["tlm-opt"]["k"] == answers["fixed"]["k"] == 1
+        assert answers["tlm-opt"]["revenue"] == answers["fixed"]["revenue"]
+        assert answers["fixed"]["revenue"] == pytest.approx(0.2784645427610751, rel=1e-12)
+
     def test_zero_outside_option_is_exit_2(self, capsys, tmp_path):
         doc = {
             "products": [{"id": 1, "revenue": 1.0, "attractiveness": 2.7,

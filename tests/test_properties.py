@@ -30,6 +30,8 @@ from luceopt import (
     max_weight_antichain,
     numeric_pricing_oracle,
     solve_capacitated_attcorr,
+    solve_capacitated_bruteforce,
+    solve_capacitated_mnl,
     solve_capacitated_tree,
     solve_japtlm,
     solve_japtlm_k,
@@ -243,6 +245,33 @@ def test_attcorr_solver_matches_enumeration(prob):
     assert expected_revenue(got.assortment, prob.instance) == pytest.approx(
         got.revenue, rel=1e-12, abs=1e-12
     )
+
+
+def per_pool_attcorr(prob):
+    """The per-pool algorithm: one capacitated-MNL Dinkelbach run on each
+    pool ``X_k``, the best pool winning (smallest ``k`` on ties), with the
+    brute-force fallback when some pool keeps a dominance pair."""
+    inst, rel = prob.instance, prob.instance.dominance
+    pools = [[i for i in inst.ids if inst.attractiveness(i) <= inst.attractiveness(k)
+              and not rel.dominates(k, i)] for k in inst.ids]
+    if not all(rel.is_antichain(pool) for pool in pools):
+        exact = solve_capacitated_bruteforce(prob)
+        return exact.assortment, exact.revenue
+    best, best_ids = None, ()
+    for pool in pools:
+        sub = [(inst.revenue(i), inst.attractiveness(i)) for i in pool]
+        sol = solve_capacitated_mnl(sub, inst.a0, prob.capacity)
+        if best is None or sol.revenue > best.revenue:
+            best, best_ids = sol, tuple(sorted(pool[j - 1] for j in sol.assortment))
+    return best_ids, best.revenue
+
+
+@given(threshold_problems())
+def test_attcorr_matches_the_per_pool_algorithm(prob):
+    got = solve_capacitated_attcorr(prob)
+    want_ids, want_revenue = per_pool_attcorr(prob)
+    assert got.assortment == want_ids
+    assert got.revenue == pytest.approx(want_revenue, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=150)
